@@ -1,26 +1,17 @@
-// Ablation: cost of one step-4 candidate probe. Since the delta-evaluation
-// refactor a probe re-runs steps 2-3 as a delta over the moved layer and its
-// neighbours (falling back to the full per-accelerator pass only under
-// capacity pressure), reuses knapsack solves through a memoizing cache, and
-// evaluates the schedule into IncrementalSchedule's overlay instead of
-// journaled apply/undo. This driver isolates those knobs:
+// Cost of the step-4 remap loop and of one candidate probe. A probe re-runs
+// steps 2-3 as a delta over the moved layer and its neighbours (falling back
+// to the full per-accelerator pass only under capacity pressure), reuses
+// knapsack solves through a memoizing cache, and evaluates the schedule into
+// IncrementalSchedule's overlay instead of journaled apply/undo.
 //
-//   /0  full       — per-probe steps 2-3 re-run both touched accelerators
-//   /1  delta      — delta passes, knapsack cache off
-//   /2  delta+$    — delta passes, knapsack cache on (the default)
-//   /3  delta+$+▽  — /2 plus the cone-limited retime sweep
-//                    (RemapOptions::use_retime_cone; off by default — see
-//                    the rationale in remapping.h)
-//
-// All modes land on bit-identical mappings (asserted by the table up front
-// and pinned in test_remapping.cpp). BM_RemapLoop uses the standard catalog
-// (large local DRAM: the delta path almost never needs a knapsack);
-// BM_RemapLoopPressured shrinks local DRAM below the weight footprint so
-// every probe fights the knapsack frontier — the regime the cache exists
-// for.
+// BM_RemapLoop uses the standard catalog (large local DRAM: the delta path
+// almost never needs a knapsack); BM_RemapLoopPressured shrinks local DRAM
+// below the weight footprint so every probe fights the knapsack frontier —
+// the regime the knapsack cache exists for. The preamble table breaks the
+// pressured loop down per zoo model (probes, cost per probe, cache hits,
+// full-pass fallbacks, retimes).
 #include <benchmark/benchmark.h>
 
-#include <array>
 #include <chrono>
 #include <cstring>
 #include <iostream>
@@ -51,23 +42,6 @@ Prepared prepare(ModelGraph model, SystemConfig sys) {
                   std::move(plan)};
 }
 
-RemapOptions probe_options(int mode) {
-  RemapOptions opts;
-  opts.use_delta_locality = mode >= 1;
-  opts.use_knapsack_cache = mode >= 2;
-  opts.use_retime_cone = mode >= 3;
-  return opts;
-}
-
-const char* mode_label(int mode) {
-  switch (mode) {
-    case 0: return "full-steps23-rerun";
-    case 1: return "delta-steps23";
-    case 2: return "delta-steps23+knap-cache";
-    default: return "delta-steps23+knap-cache+retime-cone";
-  }
-}
-
 /// A DRAM-starved uniform system: capacity far below any zoo model's weight
 /// footprint, so the step-2 knapsack frontier moves on every probe.
 SystemConfig pressured_system(std::size_t n, Bytes dram_capacity) {
@@ -95,20 +69,18 @@ SystemConfig pressured_system(std::size_t n, Bytes dram_capacity) {
 }
 
 void run_loop(benchmark::State& state, Prepared& p, const Simulator& sim) {
-  const RemapOptions opts = probe_options(static_cast<int>(state.range(0)));
   std::uint64_t attempts = 0;
   std::uint64_t hits = 0;
   std::uint64_t full_passes = 0;
   for (auto _ : state) {
     Mapping mapping = p.mapping;
     LocalityPlan plan = p.plan;
-    const RemapStats stats = data_locality_remapping(sim, mapping, plan, opts);
+    const RemapStats stats = data_locality_remapping(sim, mapping, plan);
     attempts += stats.attempts;
     hits += stats.knapsack_hits;
     full_passes += stats.delta_full_passes;
     benchmark::DoNotOptimize(plan.pinned_count());
   }
-  state.SetLabel(mode_label(static_cast<int>(state.range(0))));
   state.counters["probes"] = benchmark::Counter(
       static_cast<double>(attempts), benchmark::Counter::kIsRate);
   state.counters["knap_hits"] = benchmark::Counter(
@@ -123,37 +95,27 @@ void BM_RemapLoop(benchmark::State& state) {
   const Simulator sim(p.model, p.sys);
   run_loop(state, p, sim);
 }
-BENCHMARK(BM_RemapLoop)
-    ->Arg(0)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(3)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_RemapLoop)->Unit(benchmark::kMillisecond);
 
 void BM_RemapLoopPressured(benchmark::State& state) {
   Prepared p = prepare(make_vlocnet(), pressured_system(6, mib(4)));
   const Simulator sim(p.model, p.sys);
   run_loop(state, p, sim);
 }
-BENCHMARK(BM_RemapLoopPressured)
-    ->Arg(0)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(3)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_RemapLoopPressured)->Unit(benchmark::kMillisecond);
 
 /// Remap-loop seconds for one prepared instance (best of `reps`).
-double remap_seconds(const Prepared& p, const Simulator& sim, int mode,
-                     RemapStats& stats, int reps = 3) {
-  const RemapOptions opts = probe_options(mode);
+double remap_seconds(const Prepared& p, const Simulator& sim,
+                     RemapStats& stats, double& latency, int reps = 3) {
   double best = std::numeric_limits<double>::infinity();
   for (int r = 0; r < reps; ++r) {
     Mapping mapping = p.mapping;
     LocalityPlan plan = p.plan;
     const auto t0 = std::chrono::steady_clock::now();
-    stats = data_locality_remapping(sim, mapping, plan, opts);
+    stats = data_locality_remapping(sim, mapping, plan);
     const auto t1 = std::chrono::steady_clock::now();
     best = std::min(best, std::chrono::duration<double>(t1 - t0).count());
+    latency = sim.simulate(mapping, plan).latency;
   }
   return best;
 }
@@ -161,57 +123,37 @@ double remap_seconds(const Prepared& p, const Simulator& sim, int mode,
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Profiled runs (--benchmark_filter present) skip the verification
-  // preamble: its un-timed setup work used to dominate gprof samples and get
-  // misattributed to the benchmarks (bench/README.md). Other --benchmark_*
-  // flags (CI smoke's --benchmark_min_time) keep the preamble's assertions.
+  // Profiled runs (--benchmark_filter present) skip the preamble: its
+  // un-timed setup work used to dominate gprof samples and get
+  // misattributed to the benchmarks (bench/README.md).
   bool filtered = false;
   for (int i = 1; i < argc; ++i)
     if (std::strncmp(argv[i], "--benchmark_filter", 18) == 0) filtered = true;
 
   if (!filtered) {
-    TextTable table({"model", "latency (s)", "full23 (ms)", "delta (ms)",
-                     "delta+$ (ms)", "+cone (ms)", "speedup", "knap hit/miss",
-                     "full passes"},
+    TextTable table({"model", "latency (s)", "remap (ms)", "probes",
+                     "us/probe", "knap hit/miss", "full passes", "retimes"},
                     {TextTable::Align::Left});
     for (const ZooInfo& info : zoo_catalog()) {
       Prepared p = prepare(make_model(info.id), pressured_system(6, mib(4)));
       const Simulator sim(p.model, p.sys);
-
-      std::array<RemapStats, 4> stats;
-      std::array<double, 4> secs{};
-      for (int mode = 0; mode < 4; ++mode)
-        secs[mode] = remap_seconds(p, sim, mode, stats[mode]);
-
-      // All strategies must land on the same mapping quality.
-      std::array<double, 4> lat{};
-      for (int mode = 0; mode < 4; ++mode) {
-        Mapping mapping = p.mapping;
-        LocalityPlan plan = p.plan;
-        (void)data_locality_remapping(sim, mapping, plan, probe_options(mode));
-        lat[mode] = sim.simulate(mapping, plan).latency;
-      }
-      if (lat[0] != lat[1] || lat[0] != lat[2] || lat[0] != lat[3]) {
-        std::cerr << "MISMATCH on " << info.key << ": full " << lat[0]
-                  << " vs delta " << lat[1] << " vs cached " << lat[2]
-                  << " vs cone " << lat[3] << '\n';
-        return 1;
-      }
-
+      RemapStats stats;
+      double latency = 0;
+      const double secs = remap_seconds(p, sim, stats, latency);
       table.add_row(
-          {std::string(info.key), strformat("%.6f", lat[2]),
-           strformat("%.3f", secs[0] * 1e3), strformat("%.3f", secs[1] * 1e3),
-           strformat("%.3f", secs[2] * 1e3), strformat("%.3f", secs[3] * 1e3),
-           strformat("%.1fx", secs[0] / std::max(secs[2], 1e-9)),
+          {std::string(info.key), strformat("%.6f", latency),
+           strformat("%.3f", secs * 1e3), strformat("%u", stats.attempts),
+           strformat("%.2f", secs * 1e6 / std::max(stats.attempts, 1u)),
            strformat("%llu/%llu",
-                     static_cast<unsigned long long>(stats[2].knapsack_hits),
-                     static_cast<unsigned long long>(stats[2].knapsack_misses)),
+                     static_cast<unsigned long long>(stats.knapsack_hits),
+                     static_cast<unsigned long long>(stats.knapsack_misses)),
            strformat("%llu", static_cast<unsigned long long>(
-                                 stats[2].delta_full_passes))});
+                                 stats.delta_full_passes)),
+           strformat("%llu",
+                     static_cast<unsigned long long>(stats.retimes))});
     }
-    std::cout << "step-4 probe cost under DRAM pressure: full steps-2/3 "
-                 "re-run vs delta passes vs delta + knapsack cache vs + "
-                 "retime cone @ 0.125 GB/s (latencies asserted equal):\n";
+    std::cout << "step-4 remap loop under DRAM pressure (6 x 4 MiB, "
+                 "0.125 GB/s):\n";
     table.print(std::cout);
     std::cout << '\n';
   }

@@ -1,10 +1,11 @@
-// Ablation: steps 1-3 in isolation. bench_ablation_incremental covers the
+// Ablation: steps 1-3 in isolation. bench_ablation_remap_probe covers the
 // step-4 remap loop; after that loop went O(touched), steps 1-3 became the
 // pipeline bottleneck (ROADMAP). These benches time each front-end step on
 // its own so cost-table / worklist / pruning changes show up individually
-// instead of being averaged into BM_FullPipeline. Simulator construction is
-// timed separately because the cost-table build moved the one-time
-// (layer x accelerator) model evaluation there.
+// instead of being averaged into the full-pipeline time
+// (bench_fig4_latency_energy). Simulator construction is timed separately
+// because the cost-table build moved the one-time (layer x accelerator)
+// model evaluation there.
 #include <benchmark/benchmark.h>
 
 #include "h2h.h"
@@ -68,7 +69,7 @@ void BM_Step3ActivationFusion(benchmark::State& state) {
 BENCHMARK(BM_Step3ActivationFusion)->Unit(benchmark::kMillisecond);
 
 void BM_Steps123(benchmark::State& state) {
-  // The whole front end (what BM_FullPipeline spends outside the step-4
+  // The whole front end (what the full pipeline spends outside the step-4
   // loop), including the per-run Simulator construction the mapper pays.
   const ModelGraph model = make_vlocnet();
   const SystemConfig sys = SystemConfig::standard(BandwidthSetting::LowMinus);

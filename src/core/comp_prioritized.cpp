@@ -1,8 +1,6 @@
 #include "core/comp_prioritized.h"
 
 #include <algorithm>
-#include <bit>
-#include <cstring>
 #include <limits>
 
 #include "graph/algorithms.h"
@@ -12,168 +10,18 @@
 namespace h2h {
 namespace {
 
-/// Minimum subtree size (complete assignments under a DFS node) before the
-/// dominance table is consulted: hashing a tail signature to save fewer leaf
-/// evaluations than the hash costs is a loss.
-constexpr std::uint64_t kDomMinSubtree = 16;
-
 /// Colexicographic comparison of two equal-length choice vectors: the
 /// largest differing index decides (the LAST chunk position is the most
-/// significant digit). The legacy mixed-radix loop varied choice[0] fastest,
-/// so its enumeration order was exactly colex ascending — "colex-smaller"
-/// means "the legacy code enumerated it first", which is the tie-break the
-/// tests pin. Returns true when `a` precedes `b`.
+/// significant digit). A mixed-radix loop varying choice[0] fastest
+/// enumerates in exactly colex-ascending order, so "colex-smaller" means
+/// "such a loop reaches it first", which is the tie-break the tests pin
+/// against a brute-force reference. Returns true when `a` precedes `b`.
 [[nodiscard]] bool colex_less(const std::uint32_t* a, const std::uint32_t* b,
                               std::size_t len) {
   for (std::size_t i = len; i-- > 0;)
     if (a[i] != b[i]) return a[i] < b[i];
   return false;
 }
-
-/// Exact dominance over partial assignments (DESIGN.md §10).
-///
-/// Signature of a DFS state at depth d: the running tail (last finish) of
-/// every accelerator any of the chunk positions 0..d can use, in ascending
-/// accelerator order. Ready times and the committed makespan are chunk
-/// constants and the tails are the only state a suffix placement reads, so
-/// two prefixes with bit-equal signatures reach exactly the same set of
-/// suffix outcomes (the partial makespan is itself derivable from the tails:
-/// FIFO finishes are monotone per queue). A new prefix is cut when an
-/// already-expanded prefix with the same signature has
-///
-///   sum <= new.sum   AND   colex(prefix) < colex(new prefix):
-///
-/// any completion of the new prefix is then matched by the stored prefix
-/// plus the same suffix, whose finish-sum is no larger (float addition is
-/// monotone in its running total) and whose choice vector is colex-smaller —
-/// it beats the new prefix's completion on every criterion the legacy
-/// enumeration could tie-break on. Incomparable pairs (smaller sum but
-/// larger colex, or vice versa) are both kept: entries per signature form a
-/// tiny Pareto front. Epoch stamps make begin_chunk O(1); when the slot or
-/// entry budget saturates the table stops inserting — the search stays
-/// exact, it just stops learning (counted as dominance_fallbacks, guarded at
-/// zero on the zoo models by the CI bench smoke).
-struct DominanceTable {
-  struct Slot {
-    std::uint64_t hash = 0;
-    std::uint32_t stamp = 0;   // chunk epoch this slot belongs to
-    std::uint32_t depth = 0;
-    std::uint32_t sig_at = 0;  // offset into sig_arena
-    std::uint32_t head = kNil; // first Pareto-front entry
-  };
-  struct Entry {
-    double sum;
-    std::uint32_t prefix_at;  // offset into prefix_arena, length depth + 1
-    std::uint32_t next;
-  };
-  static constexpr std::uint32_t kNil = 0xFFFFFFFFu;
-
-  std::vector<Slot> slots;
-  std::vector<Entry> entries;
-  std::vector<double> sig_arena;
-  std::vector<std::uint32_t> prefix_arena;
-  std::uint32_t epoch = 0;
-  std::uint32_t slots_used = 0;
-  std::uint32_t slots_cap = 0;
-  std::uint32_t entries_cap = 0;
-
-  /// Lazy one-time allocation (models whose chunks never reach
-  /// kDomMinSubtree never pay for the table).
-  void init(std::uint32_t requested_slots) {
-    if (!slots.empty()) return;
-    const std::uint32_t n =
-        std::bit_ceil(std::max<std::uint32_t>(requested_slots, 4));
-    slots.assign(n, Slot{});
-    slots_cap = n - n / 4;  // probe chains stay short at 3/4 load
-    entries_cap = 2 * slots_cap;
-  }
-
-  void begin_chunk() {
-    if (++epoch == 0) {  // epoch wrapped: invalidate all stale slots
-      for (Slot& s : slots) s.stamp = 0;
-      epoch = 1;
-    }
-    slots_used = 0;
-    entries.clear();
-    sig_arena.clear();
-    prefix_arena.clear();
-  }
-
-  [[nodiscard]] std::uint32_t push_entry(double sum,
-                                         const std::uint32_t* prefix,
-                                         std::uint32_t len,
-                                         std::uint32_t next) {
-    const auto at = static_cast<std::uint32_t>(prefix_arena.size());
-    prefix_arena.insert(prefix_arena.end(), prefix, prefix + len);
-    entries.push_back({sum, at, next});
-    return static_cast<std::uint32_t>(entries.size() - 1);
-  }
-
-  /// True: cut this subtree, an expanded prefix provably beats it. False:
-  /// the caller expands this prefix, which is recorded for future siblings
-  /// (unless the budget saturated).
-  [[nodiscard]] bool dominated(std::uint32_t depth, const double* sig,
-                               std::uint32_t sig_len, double sum,
-                               const std::uint32_t* prefix,
-                               CompPrioritizedStats* stats) {
-    std::uint64_t h = 1469598103934665603ull;  // FNV-1a over depth + tails
-    h = (h ^ (depth + 1)) * 1099511628211ull;
-    for (std::uint32_t j = 0; j < sig_len; ++j)
-      h = (h ^ std::bit_cast<std::uint64_t>(sig[j])) * 1099511628211ull;
-    const std::uint32_t mask = static_cast<std::uint32_t>(slots.size()) - 1;
-    const std::uint32_t len = depth + 1;
-    for (std::uint32_t idx = static_cast<std::uint32_t>(h) & mask;;
-         idx = (idx + 1) & mask) {
-      Slot& s = slots[idx];
-      if (s.stamp != epoch) {  // fresh signature
-        if (slots_used >= slots_cap ||
-            static_cast<std::uint32_t>(entries.size()) >= entries_cap) {
-          if (stats) ++stats->dominance_fallbacks;
-          return false;
-        }
-        s.stamp = epoch;
-        s.hash = h;
-        s.depth = depth;
-        s.sig_at = static_cast<std::uint32_t>(sig_arena.size());
-        sig_arena.insert(sig_arena.end(), sig, sig + sig_len);
-        s.head = push_entry(sum, prefix, len, kNil);
-        ++slots_used;
-        if (stats) ++stats->dominance_states;
-        return false;
-      }
-      if (s.hash != h || s.depth != depth ||
-          std::memcmp(sig_arena.data() + s.sig_at, sig,
-                      sig_len * sizeof(double)) != 0)
-        continue;
-      // Known signature: prune when any front entry Pareto-dominates.
-      for (std::uint32_t e = s.head; e != kNil; e = entries[e].next) {
-        if (entries[e].sum <= sum &&
-            colex_less(prefix_arena.data() + entries[e].prefix_at, prefix,
-                       len))
-          return true;
-      }
-      // This prefix will be expanded: add it to the front, unlinking
-      // entries it dominates in turn (their arena space is reclaimed at
-      // the next begin_chunk).
-      if (static_cast<std::uint32_t>(entries.size()) >= entries_cap) {
-        if (stats) ++stats->dominance_fallbacks;
-        return false;
-      }
-      std::uint32_t head = s.head;
-      for (std::uint32_t* link = &head; *link != kNil;) {
-        Entry& e = entries[*link];
-        if (sum <= e.sum &&
-            colex_less(prefix, prefix_arena.data() + e.prefix_at, len))
-          *link = e.next;
-        else
-          link = &e.next;
-      }
-      s.head = push_entry(sum, prefix, len, head);
-      if (stats) ++stats->dominance_states;
-      return false;
-    }
-  }
-};
 
 }  // namespace
 
@@ -223,17 +71,7 @@ Mapping computation_prioritized_mapping(const Simulator& sim,
   std::vector<double> saved_tail;
   std::vector<double> path_mk;
   std::vector<double> path_sum;
-  std::vector<std::uint64_t> remaining;  // leaves under each depth
   std::vector<double> tails(sys.accelerator_count(), 0.0);
-
-  // Dominance-signature support: prefix universes (the sorted accelerators
-  // positions 0..i can touch) as one CSR per chunk, plus a gather scratch.
-  std::vector<std::uint32_t> uni_offset;
-  std::vector<AccId> uni;
-  std::vector<AccId> cur_uni;
-  std::vector<double> sig;
-  std::vector<std::uint8_t> in_uni(sys.accelerator_count(), 0);
-  DominanceTable dom;
 
   while (work.take_wave(front)) {
     if (stats) ++stats->waves;
@@ -298,12 +136,12 @@ Mapping computation_prioritized_mapping(const Simulator& sim,
       // The search is a lex-order DFS (position 0 outermost) with
       // incremental tails, tracking the best assignment by (makespan, sum
       // of finishes, colex rank of the choice vector) — the explicit colex
-      // leg reproduces the legacy mixed-radix loop's first-enumerated-wins
-      // tie-break exactly (pinned by test_comp_prioritized.cpp), since that
-      // loop enumerated in colex-ascending order. A subtree is cut as soon
-      // as its running makespan joined with the suffix lower bound strictly
-      // exceeds the incumbent: every completion then loses on the makespan
-      // criterion outright (ties are never cut).
+      // leg reproduces a mixed-radix loop's first-enumerated-wins tie-break
+      // exactly (checked against the brute-force reference_step1 in the
+      // tests), since that loop enumerates in colex-ascending order. A
+      // subtree is cut as soon as its running makespan joined with the
+      // suffix lower bound strictly exceeds the incumbent: every completion
+      // then loses on the makespan criterion outright (ties are never cut).
       //
       // Placement-independent lower bound on the finish of nodes i..k-1:
       // node j cannot finish before ready_j + its cheapest duration.
@@ -316,43 +154,9 @@ Mapping computation_prioritized_mapping(const Simulator& sim,
         suffix_lb[i] = std::max(suffix_lb[i + 1], node_ready[n] + min_dur);
       }
 
-      // Leaves below each depth (product of the remaining candidate
-      // counts); gates the dominance table to subtrees worth hashing for.
-      remaining.assign(k + 1, 1);
-      for (std::size_t i = k; i-- > 0;)
-        remaining[i] = remaining[i + 1] * cand[begin + i].size();
-
       // Live tails start from the committed accelerator state.
       for (std::size_t i = 0; i < k; ++i)
         for (const AccId a : cand[begin + i]) tails[a.value] = acc_tail[a.value];
-
-      const bool dom_on =
-          options.use_dominance && k >= 2 && remaining[1] >= kDomMinSubtree;
-      if (dom_on) {
-        dom.init(options.dominance_slots);
-        dom.begin_chunk();
-        // Prefix universes: universe of depth i = sorted distinct
-        // accelerators candidate to any position <= i (accelerators no
-        // prefix placement can touch hold committed values identical across
-        // branches and carry no information).
-        uni.clear();
-        uni_offset.assign(k + 1, 0);
-        cur_uni.clear();
-        for (std::size_t i = 0; i < k; ++i) {
-          bool grew = false;
-          for (const AccId a : cand[begin + i]) {
-            if (!in_uni[a.value]) {
-              in_uni[a.value] = 1;
-              cur_uni.push_back(a);
-              grew = true;
-            }
-          }
-          if (grew) std::sort(cur_uni.begin(), cur_uni.end());
-          uni.insert(uni.end(), cur_uni.begin(), cur_uni.end());
-          uni_offset[i + 1] = static_cast<std::uint32_t>(uni.size());
-        }
-        for (const AccId a : cur_uni) in_uni[a.value] = 0;
-      }
 
       choice.assign(k, 0);
       placed_acc.assign(k, AccId{});
@@ -362,7 +166,6 @@ Mapping computation_prioritized_mapping(const Simulator& sim,
       best_choice.clear();
       double best_mk = std::numeric_limits<double>::infinity();
       double best_sum = std::numeric_limits<double>::infinity();
-      const bool batched = options.use_batched_sums;
 
       std::size_t i = 0;
       while (true) {
@@ -371,10 +174,10 @@ Mapping computation_prioritized_mapping(const Simulator& sim,
         const double pm = i == 0 ? makespan : path_mk[i - 1];
         const double ps = i == 0 ? 0.0 : path_sum[i - 1];
 
-        if (i + 1 == k && batched) {
+        if (i + 1 == k) {
           // Batched leaf: one sweep over the last position's contiguous
           // duration row scores every completion of the current prefix —
-          // no per-candidate descent, no table traffic.
+          // no per-candidate descent.
           const double ready = node_ready[n];
           const double* dur = durations.data() + dur_offset[n];
           for (std::size_t c = 0; c < cs.size(); ++c) {
@@ -421,44 +224,13 @@ Mapping computation_prioritized_mapping(const Simulator& sim,
           ++choice[i];
           continue;
         }
-        const double sum = ps + fin;
 
-        if (i + 1 == k) {
-          // Unbatched leaf (ablation path): score this complete assignment.
-          if (stats) ++stats->evaluated;
-          bool better = mk < best_mk;
-          if (!better && sum < best_sum)
-            better = true;
-          else if (!better && sum == best_sum)
-            better = colex_less(choice.data(), best_choice.data(), k);
-          if (better) {
-            best_mk = mk;
-            best_sum = sum;
-            best_choice.assign(choice.begin(), choice.end());
-          }
-          ++choice[i];
-          continue;
-        }
-
-        // Internal node: place, consult the dominance table, descend.
+        // Internal node: place and descend.
         placed_acc[i] = a;
         saved_tail[i] = old_tail;
         tails[a.value] = fin;
         path_mk[i] = mk;
-        path_sum[i] = sum;
-        if (dom_on && remaining[i + 1] >= kDomMinSubtree) {
-          sig.clear();
-          for (std::uint32_t u = uni_offset[i]; u < uni_offset[i + 1]; ++u)
-            sig.push_back(tails[uni[u].value]);
-          if (dom.dominated(static_cast<std::uint32_t>(i), sig.data(),
-                            static_cast<std::uint32_t>(sig.size()), sum,
-                            choice.data(), stats)) {
-            if (stats) ++stats->dominance_pruned;
-            tails[a.value] = old_tail;
-            ++choice[i];
-            continue;
-          }
-        }
+        path_sum[i] = ps + fin;
         ++i;
         choice[i] = 0;
       }

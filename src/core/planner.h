@@ -121,8 +121,9 @@ struct PlanRequest {
                                              std::uint32_t batch = 0);
 };
 
-/// A completed plan. For the default pipeline this is bit-identical to the
-/// legacy H2HMapper::run() result (pinned across the zoo x catalog grid).
+/// A completed plan. For the default pipeline a Planner response is
+/// bit-identical to plan_once() on the same inputs, cold or warm (pinned
+/// across the zoo x bandwidth grid).
 struct PlanResponse {
   Mapping mapping;
   LocalityPlan plan;
@@ -166,8 +167,8 @@ struct PlanResponse {
     const PlanOptions& options, const Mapping* warm_start = nullptr);
 
 /// Execute a pipeline on `sim`, recording a snapshot after every pass.
-/// This is the one pipeline driver — Planner, the H2HMapper shim, and the
-/// baseline runners all route through it.
+/// This is the one pipeline driver — Planner, plan_once, and the baseline
+/// runners all route through it.
 [[nodiscard]] PlanResponse run_passes(
     const Simulator& sim, const PassPipeline& pipeline,
     std::optional<double> time_budget_s = std::nullopt);
@@ -249,9 +250,9 @@ class Planner {
   std::atomic<std::uint64_t> misses_{0};
 };
 
-/// One-shot convenience: build the cost state for (model, sys), run the
-/// default pipeline once, and throw the state away. Exactly what the
-/// deprecated H2HMapper did — prefer a Planner anywhere a scenario repeats.
+/// One-shot convenience: validate the model, build the cost state for
+/// (model, sys), run the default pipeline once, and throw the state away.
+/// Prefer a Planner anywhere a scenario repeats.
 [[nodiscard]] PlanResponse plan_once(const ModelGraph& model,
                                      const SystemConfig& sys,
                                      PlanOptions options = {});

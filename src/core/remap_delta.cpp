@@ -16,11 +16,8 @@ bool repeated_succ(std::span<const LayerId> succs, std::size_t k) {
 
 RemapDeltaState::RemapDeltaState(const Simulator& sim,
                                  WeightLocalityOptions weight,
-                                 FusionOptions fusion, bool use_knapsack_cache)
-    : sim_(&sim),
-      weight_(std::move(weight)),
-      fusion_(fusion),
-      use_cache_(use_knapsack_cache) {}
+                                 FusionOptions fusion)
+    : sim_(&sim), weight_(std::move(weight)), fusion_(fusion) {}
 
 void RemapDeltaState::init(const Mapping& mapping, const LocalityPlan& plan) {
   const ModelGraph& model = sim_->model();
@@ -117,8 +114,7 @@ void RemapDeltaState::delta_weight_one(const Mapping& mapping,
   // can change the knapsack frontier: run the full per-accelerator solve,
   // memoized — all candidate probes of one node share the src instance.
   optimize_weight_locality_acc(costs, mapping.members(acc), plan, weight_, acc,
-                               weight_scratch_,
-                               use_cache_ ? &cache_ : nullptr);
+                               weight_items_, &cache_);
   st.pinned_bytes = plan.used_dram(acc);
   st.pins_trusted = st.pinned_bytes == st.weight_total;
   ++stats_.full_weight;

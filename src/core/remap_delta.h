@@ -24,13 +24,13 @@
 // across all of a node's candidate probes, so it is solved once per node.
 //
 // Either way the resulting Mapping/LocalityPlan state is bit-identical to
-// the full touched-pair re-run (asserted by the randomized property tests
-// and the delta-on/off zoo equivalence test), so the probe's dirty set,
-// retimes, and metric are unchanged — only the work to get there shrinks.
-// This holds under any link topology: both strategies run the same step-2/3
-// pass code, whose benefit formulas read the per-accelerator host-link
-// speeds — the actual src->dst link charges live in the simulator, which
-// both strategies consult identically (DESIGN.md §9).
+// the full passes re-run from scratch (asserted by the randomized property
+// tests and by the reference remap search in the tests), so the probe's
+// dirty set, retimes, and metric are unchanged — only the work to get there
+// shrinks. This holds under any link topology: both strategies run the same
+// step-2/3 pass code, whose benefit formulas read the per-accelerator
+// host-link speeds — the actual src->dst link charges live in the
+// simulator, which both strategies consult identically (DESIGN.md §9).
 //
 // Probe protocol: the state is valid only while every pin/fusion/placement
 // mutation goes through it. begin_probe snapshots the two touched
@@ -70,7 +70,7 @@ struct RemapDeltaStats {
 class RemapDeltaState {
  public:
   RemapDeltaState(const Simulator& sim, WeightLocalityOptions weight,
-                  FusionOptions fusion, bool use_knapsack_cache);
+                  FusionOptions fusion);
 
   /// Build the aggregates from the live state: O(V + E). The mapping must be
   /// complete. Conservative about foreign state: accelerators whose pins or
@@ -113,7 +113,6 @@ class RemapDeltaState {
   const Simulator* sim_;
   WeightLocalityOptions weight_;
   FusionOptions fusion_;
-  bool use_cache_;
 
   std::vector<AccAggregates> accs_;
   std::vector<std::uint8_t> saved_nonneg_;  // per acc: pin value never < 0
@@ -126,7 +125,7 @@ class RemapDeltaState {
   AccAggregates snap_dst_state_;
 
   KnapsackCache cache_;
-  WeightLocalityScratch weight_scratch_;
+  std::vector<KnapsackItem> weight_items_;  // scratch, reused across probes
   struct EdgeRef {
     LayerId consumer;
     std::uint32_t slot;

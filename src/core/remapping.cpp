@@ -1,7 +1,6 @@
 #include "core/remapping.h"
 
 #include <algorithm>
-#include <array>
 
 namespace h2h {
 namespace {
@@ -59,85 +58,51 @@ RemapStats data_locality_remapping(const Simulator& sim, Mapping& mapping,
   const CostTable& costs = sim.costs();
   RemapStats stats;
 
-  const auto metric_of = [&options](const ScheduleResult& r) {
-    return options.objective == RemapObjective::Latency
-               ? r.latency
-               : r.latency * r.energy.total();
-  };
-
   IncrementalSchedule inc(sim);
-  inc.set_cone_filter(options.use_retime_cone);
-  if (options.use_incremental) inc.reset(mapping, plan);
+  inc.reset(mapping, plan);
 
-  RemapDeltaState delta(sim, options.weight, options.fusion,
-                        options.use_knapsack_cache);
-  const bool use_delta = options.use_delta_locality;
-  if (use_delta) delta.init(mapping, plan);
-
-  // Objective value of the current journaled state. The Latency objective
-  // reads the maintained makespan directly; the energy-aware objective
-  // aggregates energy without materializing a full ScheduleResult.
-  const auto current_metric = [&]() {
-    if (!options.use_incremental) return metric_of(sim.simulate(mapping, plan));
-    return options.objective == RemapObjective::Latency
-               ? inc.latency()
-               : inc.latency() * inc.energy(mapping).total();
-  };
+  RemapDeltaState delta(sim, options.weight, options.fusion);
+  delta.init(mapping, plan);
 
   // Apply one candidate move with steps 2-3 re-run on the two affected
-  // accelerators — as a delta over the moved layer and its neighbours when
-  // use_delta_locality, full passes on the touched pair otherwise — and the
-  // schedule updated incrementally. Requires open journals: the plan
+  // accelerators as a delta over the moved layer and its neighbours, and
+  // collect the schedule's dirty set. Requires open journals: the plan
   // journal doubles as the exact dirty set for the schedule update (only
   // layers whose pins or fusion flags flipped get their components
-  // re-read). Both steps-2/3 strategies land on bit-identical plan state,
-  // so the dirty set and the metric do not depend on the strategy.
+  // re-read).
   std::vector<LayerId> dirty;  // scratch, reused across probes
-  WeightLocalityScratch weight_scratch;
   // One steps-2/3 implementation for probes and accepted applies: the
   // acceptance path must reproduce the probed state exactly, so the two
   // call sites may not drift apart.
   const auto run_steps23 = [&](LayerId node, AccId src, AccId dst) {
     mapping.reassign(node, dst);
-    if (use_delta) {
-      delta.apply_move(mapping, plan, node, src, dst);
-    } else {
-      const std::array<AccId, 2> touched{src, dst};
-      optimize_weight_locality(sim, mapping, plan, options.weight, touched,
-                               &weight_scratch);
-      optimize_activation_fusion(sim, mapping, plan, options.fusion, touched);
-    }
-    if (options.use_incremental) {
-      dirty.clear();
-      plan.journal_touched_layers(model, dirty);
-      // Non-uniform topology: the node's unfused successors read their
-      // in-edge over a different link after the move, even when their own
-      // plan state did not flip — include them in the dirty set (the
-      // refresh dedups by stamp, so overlap with journal-touched layers is
-      // free). Gated so the uniform path keeps the legacy dirty set and
-      // retime counts bit-identical.
-      if (!costs.uniform_links())
-        for (const LayerId s : model.graph().succs(node))
-          dirty.push_back(s);
-    }
-  };
-  const auto apply_move = [&](LayerId node, AccId src, AccId dst) {
-    run_steps23(node, src, dst);
-    if (options.use_incremental)
-      inc.apply_remap(mapping, plan, node, src, dirty);
+    delta.apply_move(mapping, plan, node, src, dst);
+    dirty.clear();
+    plan.journal_touched_layers(model, dirty);
+    // Non-uniform topology: the node's unfused successors read their
+    // in-edge over a different link after the move, even when their own
+    // plan state did not flip — include them in the dirty set (the refresh
+    // dedups by stamp, so overlap with journal-touched layers is free).
+    // Gated so the uniform path keeps the legacy dirty set and retime
+    // counts bit-identical.
+    if (!costs.uniform_links())
+      for (const LayerId s : model.graph().succs(node)) dirty.push_back(s);
   };
 
   const auto export_work_stats = [&]() {
-    if (options.use_incremental) stats.retimes = inc.retime_count();
-    if (use_delta) {
-      stats.knapsack_hits = delta.knapsack_hits();
-      stats.knapsack_misses = delta.knapsack_misses();
-      stats.delta_full_passes =
-          delta.stats().full_weight + delta.stats().full_fusion;
-    }
+    stats.retimes = inc.retime_count();
+    stats.knapsack_hits = delta.knapsack_hits();
+    stats.knapsack_misses = delta.knapsack_misses();
+    stats.delta_full_passes =
+        delta.stats().full_weight + delta.stats().full_fusion;
   };
 
-  double best_metric = current_metric();
+  // Objective value of the starting state. The Latency objective reads the
+  // maintained makespan directly; the energy-aware objective aggregates
+  // energy without materializing a full ScheduleResult.
+  double best_metric = options.objective == RemapObjective::Latency
+                           ? inc.latency()
+                           : inc.latency() * inc.energy(mapping).total();
 
   // Visit layers in execution order each pass.
   std::vector<LayerId> order = model.all_layers();
@@ -169,9 +134,9 @@ RemapStats data_locality_remapping(const Simulator& sim, Mapping& mapping,
       // Probe every neighbour destination under the mapping/plan journals —
       // no per-candidate copies — and remember only the best improving
       // destination. The schedule itself is never touched by a probe: the
-      // incremental path evaluates the candidate makespan into
-      // IncrementalSchedule's overlay (probe_remap), so a rejected
-      // candidate needs no schedule journal or rollback at all.
+      // candidate makespan is evaluated into IncrementalSchedule's overlay
+      // (probe_remap), so a rejected candidate needs no schedule journal or
+      // rollback at all.
       AccId best_dst{};
       double best_candidate = best_metric;
 
@@ -179,24 +144,19 @@ RemapStats data_locality_remapping(const Simulator& sim, Mapping& mapping,
         ++stats.attempts;
         mapping.begin_journal();
         plan.begin_journal();
-        if (use_delta) delta.begin_probe(src, dst);
+        delta.begin_probe(src, dst);
 
         run_steps23(node, src, dst);
-        double metric;
-        if (options.use_incremental) {
-          const double lat = inc.probe_remap(mapping, plan, node, src, dirty);
-          metric = options.objective == RemapObjective::Latency
-                       ? lat
-                       : lat * inc.probe_energy(mapping).total();
-        } else {
-          metric = metric_of(sim.simulate(mapping, plan));
-        }
+        const double lat = inc.probe_remap(mapping, plan, node, src, dirty);
+        const double metric = options.objective == RemapObjective::Latency
+                                  ? lat
+                                  : lat * inc.probe_energy(mapping).total();
         if (metric < best_candidate - options.epsilon) {
           best_candidate = metric;
           best_dst = dst;
         }
 
-        if (use_delta) delta.rollback_probe();
+        delta.rollback_probe();
         plan.rollback_journal();
         mapping.rollback_journal();
       }
@@ -209,9 +169,10 @@ RemapStats data_locality_remapping(const Simulator& sim, Mapping& mapping,
         // knapsack cache hands the re-apply its solves for free).
         mapping.begin_journal();
         plan.begin_journal();
-        if (use_delta) delta.begin_probe(src, best_dst);
-        apply_move(node, src, best_dst);
-        if (use_delta) delta.commit_probe();
+        delta.begin_probe(src, best_dst);
+        run_steps23(node, src, best_dst);
+        inc.apply_remap(mapping, plan, node, src, dirty);
+        delta.commit_probe();
         plan.commit_journal();
         mapping.commit_journal();
         best_metric = best_candidate;

@@ -9,13 +9,13 @@
 // Candidate evaluation is delta-first (DESIGN.md §6): each probe applies the
 // move against the live Mapping/LocalityPlan under their apply/undo journals
 // — with the steps-2/3 re-run computed as a delta over the moved layer and
-// its neighbours (RemapDeltaState), falling back to the full touched-pair
+// its neighbours (RemapDeltaState), falling back to the per-accelerator
 // pass only under capacity pressure — and reads the candidate makespan from
 // IncrementalSchedule's overlay probe, which leaves the committed schedule
 // untouched. A rejected candidate therefore costs no deep copies, no
 // schedule journal, and no queue surgery (the paper's sub-second search
-// times depend on this; see bench_ablation_incremental and
-// bench_ablation_remap_probe).
+// times depend on this; see bench_ablation_remap_probe). The tests check
+// this loop against a copy-and-resimulate reference search bit for bit.
 #pragma once
 
 #include <chrono>
@@ -36,30 +36,6 @@ struct RemapOptions {
   /// Minimum objective improvement to accept a move (same unit as the
   /// objective: seconds, or joule-seconds for EDP).
   double epsilon = 1e-12;
-  /// Use the incremental scheduler for candidate evaluation (the paper's
-  /// successor-only updates); false falls back to full re-simulation.
-  /// Results are identical (asserted in tests); speed differs.
-  bool use_incremental = true;
-  /// Evaluate each probe's steps-2/3 re-run as a delta pass over the moved
-  /// layer and its neighbours (RemapDeltaState), falling back to the full
-  /// per-accelerator pass only under capacity pressure; false re-runs both
-  /// full passes on the touched pair. Results are bit-identical (asserted in
-  /// tests); speed differs (bench_ablation_remap_probe).
-  bool use_delta_locality = true;
-  /// Memoize knapsack solves on the delta path's full-pass fallbacks: the
-  /// src-accelerator instance repeats across all candidates of one node, so
-  /// it is solved once per node instead of once per probe. Exact-match
-  /// memoization — results stay bit-identical. Only read when
-  /// use_delta_locality is on.
-  bool use_knapsack_cache = true;
-  /// Cone-limited retime (IncrementalSchedule::set_cone_filter): skip
-  /// consumers whose start provably cannot move. Final timings are
-  /// bit-identical (property-tested). Off by default: on the zoo probe
-  /// workloads the sweep's unchanged-start stop already bounds the cone
-  /// within ~0.3% of optimal, so the per-edge filter loads outweigh the
-  /// visits they avoid (see bench_ablation_remap_probe's retime-cone axis);
-  /// enable for fan-out-heavy graphs.
-  bool use_retime_cone = false;
   RemapObjective objective = RemapObjective::Latency;
   WeightLocalityOptions weight;
   FusionOptions fusion;
@@ -82,11 +58,11 @@ struct RemapStats {
   std::uint32_t attempts = 0;
   std::uint32_t accepted = 0;
   /// Node re-timings the incremental schedule performed across all probes
-  /// (0 when use_incremental is off) — the bench's work accounting.
+  /// — the bench's work accounting.
   std::uint64_t retimes = 0;
-  /// Knapsack-cache accounting (0 when use_delta_locality or
-  /// use_knapsack_cache is off): solver runs avoided / paid on the delta
-  /// path's full-pass fallbacks.
+  /// Knapsack-cache accounting: solver runs avoided / paid on the delta
+  /// path's full-pass fallbacks (the source-accelerator instance repeats
+  /// across all candidates of one node, so it is solved once per node).
   std::uint64_t knapsack_hits = 0;
   std::uint64_t knapsack_misses = 0;
   /// Per-accelerator full-pass fallbacks taken by the delta evaluation

@@ -8,14 +8,13 @@ double optimize_weight_locality_acc(const CostTable& costs,
                                     std::span<const LayerId> members,
                                     LocalityPlan& plan,
                                     const WeightLocalityOptions& options,
-                                    AccId acc, WeightLocalityScratch& scratch,
+                                    AccId acc, std::vector<KnapsackItem>& items,
                                     KnapsackCache* cache) {
   const double bw_host = costs.bw_host(acc);
   const double bw_local = costs.bw_local(acc);
 
   Bytes capacity = costs.dram_capacity(acc);
   Bytes forced_bytes = 0;
-  std::vector<KnapsackItem>& items = scratch.items;
   items.clear();
 
   // Force-pin resident weights first; everything else competes in the
@@ -39,13 +38,13 @@ double optimize_weight_locality_acc(const CostTable& costs,
     items.push_back(KnapsackItem{id.value, wb, saved});
   }
 
+  KnapsackSolution uncached;
   const KnapsackSolution& sol =
       cache != nullptr
           ? cache->solve(items, capacity - forced_bytes, options.algo,
                          options.max_dp_units)
-          : (scratch.solution = solve_knapsack(items, capacity - forced_bytes,
-                                               options.algo,
-                                               options.max_dp_units));
+          : (uncached = solve_knapsack(items, capacity - forced_bytes,
+                                       options.algo, options.max_dp_units));
   for (const KnapsackItem& item : items)  // sol.selected is sorted
     plan.set_pinned(LayerId{item.id},
                     std::binary_search(sol.selected.begin(),
@@ -58,21 +57,19 @@ double optimize_weight_locality_acc(const CostTable& costs,
 double optimize_weight_locality(const Simulator& sim, const Mapping& mapping,
                                 LocalityPlan& plan,
                                 const WeightLocalityOptions& options,
-                                std::span<const AccId> only_accs,
-                                WeightLocalityScratch* scratch) {
+                                std::span<const AccId> only_accs) {
   plan.ensure_acc_count(sim.sys().accelerator_count());
   const CostTable& costs = sim.costs();
-  WeightLocalityScratch local;
-  WeightLocalityScratch& s = scratch != nullptr ? *scratch : local;
+  std::vector<KnapsackItem> items;
   double saved = 0;
   if (only_accs.empty()) {
     for (const AccId acc : sim.sys().all_accelerators())
       saved += optimize_weight_locality_acc(costs, mapping.members(acc), plan,
-                                            options, acc, s);
+                                            options, acc, items);
   } else {
     for (const AccId acc : only_accs)
       saved += optimize_weight_locality_acc(costs, mapping.members(acc), plan,
-                                            options, acc, s);
+                                            options, acc, items);
   }
   return saved;
 }

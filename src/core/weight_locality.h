@@ -32,35 +32,27 @@ struct WeightLocalityOptions {
   const std::vector<bool>* force_pin = nullptr;
 };
 
-/// Reusable buffers for the pass. The step-4 probe loop runs this pass per
-/// candidate move; threading one scratch through keeps the steady state free
-/// of per-probe allocations.
-struct WeightLocalityScratch {
-  std::vector<KnapsackItem> items;
-  KnapsackSolution solution;  // uncached-solve storage
-};
-
 /// Recompute weight pins. If `only_accs` is empty all accelerators are
 /// re-optimized; otherwise only the listed ones (step-4 inner loop).
 /// Returns the total saved host-transfer seconds (sum of selected values).
 double optimize_weight_locality(const Simulator& sim, const Mapping& mapping,
                                 LocalityPlan& plan,
                                 const WeightLocalityOptions& options = {},
-                                std::span<const AccId> only_accs = {},
-                                WeightLocalityScratch* scratch = nullptr);
+                                std::span<const AccId> only_accs = {});
 
 /// Single-accelerator pass over an explicit member list (`members` must be
 /// Mapping::members(acc)). This is the unit the full pass iterates and the
 /// step-4 delta evaluation falls back to when capacity pressure changes the
-/// knapsack frontier (DESIGN.md §6). When `cache` is non-null the knapsack
-/// solve is memoized through it — exact-match memoization, so the resulting
-/// pins/DRAM state is bit-identical either way. Returns the saved
-/// host-transfer seconds on this accelerator.
+/// knapsack frontier (DESIGN.md §6). `items` is caller-owned scratch, so the
+/// step-4 probe loop allocates nothing per call. When `cache` is non-null
+/// the knapsack solve is memoized through it — exact-match memoization, so
+/// the resulting pins/DRAM state is bit-identical either way. Returns the
+/// saved host-transfer seconds on this accelerator.
 double optimize_weight_locality_acc(const CostTable& costs,
                                     std::span<const LayerId> members,
                                     LocalityPlan& plan,
                                     const WeightLocalityOptions& options,
-                                    AccId acc, WeightLocalityScratch& scratch,
+                                    AccId acc, std::vector<KnapsackItem>& items,
                                     KnapsackCache* cache = nullptr);
 
 }  // namespace h2h

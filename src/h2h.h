@@ -18,8 +18,8 @@
 // PlanRequest also carries batch size, per-step toggles/options, the remap
 // objective, an optional wall-clock time budget, and an optional warm-start
 // mapping from a prior response; custom pass pipelines (mapping_pass.h) can
-// replace the default four steps. The legacy one-shot H2HMapper remains as
-// a deprecated shim over the same pipeline.
+// replace the default four steps. For a single plan with no session to
+// keep, plan_once(model, sys) runs the same pipeline once.
 #pragma once
 
 #include "accel/analytical_models.h"
@@ -28,9 +28,6 @@
 #include "accel/tiling.h"
 #include "core/baselines.h"
 #include "core/dynamic_modality.h"
-#if defined(H2H_ENABLE_DEPRECATED)
-#include "core/h2h_mapper.h"  // legacy one-shot facade, deprecated
-#endif
 #include "core/mapping_pass.h"
 #include "core/plan_options.h"
 #include "core/planner.h"

@@ -132,27 +132,11 @@ void IncrementalSchedule::retime() {
     const double start = std::max(ready, free_at);
     const double finish = start + t.duration();
     if (start == t.start && finish == t.finish) continue;  // cone stops here
-    const double old_finish = t.finish;
     save_timing(id);
     t.start = start;
     t.finish = finish;
-    if (cone_filter_) {
-      // Enqueue a consumer unless both the old and the new finish stay
-      // below its current start (see set_cone_filter); ordered so the
-      // common truly-affected consumer costs one comparison.
-      for (const LayerId y : model.graph().succs(id)) {
-        if (!y.valid() || acc_[y.value].is_host()) continue;
-        const double ys = timings_[y.value].start;
-        if (finish > ys || old_finish >= ys) enqueue(y);
-      }
-      if (const LayerId qn = queue_next(id); qn.valid()) {
-        const double ys = timings_[qn.value].start;
-        if (finish > ys || old_finish >= ys) enqueue(qn);
-      }
-    } else {
-      for (const LayerId y : model.graph().succs(id)) enqueue(y);
-      enqueue(queue_next(id));
-    }
+    for (const LayerId y : model.graph().succs(id)) enqueue(y);
+    enqueue(queue_next(id));
   }
 }
 
@@ -330,24 +314,11 @@ void IncrementalSchedule::probe_retime() {
     const double start = std::max(ready, free_at);
     const double finish = start + base.duration();
     if (start == base.start && finish == base.finish) continue;
-    const double old_finish = base.finish;  // before overlay() may alias base
     LayerTiming& t = overlay(id);
     t.start = start;
     t.finish = finish;
-    if (cone_filter_) {
-      for (const LayerId y : model.graph().succs(id)) {
-        if (!y.valid() || acc_[y.value].is_host()) continue;
-        const double ys = cur(y).start;
-        if (finish > ys || old_finish >= ys) enqueue(y);
-      }
-      if (const LayerId qn = eff_queue_next(id); qn.valid()) {
-        const double ys = cur(qn).start;
-        if (finish > ys || old_finish >= ys) enqueue(qn);
-      }
-    } else {
-      for (const LayerId y : model.graph().succs(id)) enqueue(y);
-      enqueue(eff_queue_next(id));
-    }
+    for (const LayerId y : model.graph().succs(id)) enqueue(y);
+    enqueue(eff_queue_next(id));
   }
 }
 

@@ -14,8 +14,8 @@
 // journal buffers, the retime heap, and the dedup stamps are all reused
 // members, so steady-state candidate evaluation allocates nothing here.
 //
-// Equivalence with Simulator::simulate is asserted in tests; the ablation
-// bench bench_ablation_incremental measures the speedup.
+// Equivalence with Simulator::simulate is asserted in tests (the step-4
+// reference search re-simulates every probe from scratch).
 #pragma once
 
 #include <span>
@@ -106,19 +106,6 @@ class IncrementalSchedule {
   /// ablation bench's work accounting).
   [[nodiscard]] std::uint64_t retime_count() const noexcept { return retimes_; }
 
-  /// Cone filter (off by default): when a visited node's finish moves from
-  /// old_f to new_f, a consumer whose current start s satisfies
-  /// old_f < s && new_f <= s is provably unaffected (the producer was not
-  /// its binding contributor before and cannot become it now) and is not
-  /// enqueued. Final timings are bit-identical either way — only the visit
-  /// count drops (property-tested). Measured on the zoo probe workloads the
-  /// plain sweep's unchanged-start stop already terminates 99.7% of cones at
-  /// the first unaffected node, so the per-edge start reads cost more than
-  /// the ~1% of visits they avoid (bench_ablation_remap_probe) — the filter
-  /// exists for fan-out-heavy graphs where a producer feeds many consumers
-  /// whose starts sit well past its finish.
-  void set_cone_filter(bool on) noexcept { cone_filter_ = on; }
-
  private:
   void save_timing(LayerId id);
   /// Journaled queue surgery; returns the old queue's displaced follower.
@@ -166,7 +153,6 @@ class IncrementalSchedule {
   std::uint32_t stamp_ = 0;
   std::uint32_t sweep_min_ = 0;  // seq range holding pending work
   std::uint32_t sweep_max_ = 0;
-  bool cone_filter_ = false;
 
   // Probe overlay (see probe_remap): shadow timings activated per node by an
   // epoch stamp, plus the probed move's parameters. probe_ins_ is the index

@@ -17,23 +17,10 @@ constexpr std::array<BandwidthSetting, 5> kAllSettings{
     BandwidthSetting::LowMinus, BandwidthSetting::Low,
     BandwidthSetting::MidMinus, BandwidthSetting::Mid, BandwidthSetting::High};
 
-/// The scalar-shim topology: a uniform star at host.bw_acc, or — when any
-/// spec still carries the deprecated bw_acc_override — the mixed shape with
-/// those overrides as per-accelerator uplinks. bw_acc(id) through the
-/// resulting Interconnect reproduces the old override-or-default lookup
-/// value for value.
-[[nodiscard]] Interconnect shim_links(
-    const std::vector<AcceleratorPtr>& accs, const HostParams& host) {
+/// The scalar-BW_acc topology: a uniform star at host.bw_acc.
+[[nodiscard]] Interconnect scalar_topology(const HostParams& host) {
   if (host.bw_acc <= 0) throw ConfigError("BW_acc must be > 0");
-  std::vector<Interconnect::Override> overrides;
-  for (std::uint32_t i = 0; i < accs.size(); ++i) {
-    if (accs[i] == nullptr) continue;  // the ctor body rejects these
-    const double o = accs[i]->spec().bw_acc_override;
-    if (o > 0) overrides.emplace_back(i, o);
-  }
-  return overrides.empty() ? Interconnect::uniform(host.bw_acc)
-                           : Interconnect::mixed(host.bw_acc,
-                                                 std::move(overrides));
+  return Interconnect::uniform(host.bw_acc);
 }
 
 }  // namespace
@@ -64,18 +51,13 @@ std::span<const BandwidthSetting> all_bandwidth_settings() noexcept {
   return kAllSettings;
 }
 
-void SystemConfig::validate_accelerators(bool allow_bw_override) const {
+void SystemConfig::validate_accelerators() const {
   if (accs_.empty()) throw ConfigError("system has no accelerators");
   if (host_.static_power_w < 0) throw ConfigError("static power must be >= 0");
   std::set<std::string> names;
   for (const AcceleratorPtr& a : accs_) {
     H2H_EXPECTS(a != nullptr);
     a->spec().validate();
-    if (!allow_bw_override && a->spec().bw_acc_override > 0)
-      throw ConfigError(strformat(
-          "accelerator '%s': bw_acc_override is deprecated and ignored under "
-          "an explicit Interconnect — express it as a mixed-topology uplink",
-          a->spec().name.c_str()));
     if (!names.insert(a->spec().name).second)
       throw ConfigError(strformat("duplicate accelerator name '%s'",
                                   a->spec().name.c_str()));
@@ -86,8 +68,8 @@ SystemConfig::SystemConfig(std::vector<AcceleratorPtr> accelerators,
                            HostParams host)
     : accs_(std::move(accelerators)),
       host_(host),
-      links_(shim_links(accs_, host_)) {
-  validate_accelerators(/*allow_bw_override=*/true);
+      links_(scalar_topology(host_)) {
+  validate_accelerators();
   links_.bind(accs_.size());
   cache_capabilities();
 }
@@ -99,7 +81,7 @@ SystemConfig::SystemConfig(std::vector<AcceleratorPtr> accelerators,
       links_(std::move(links)) {
   // One source of truth for the scalar view: the topology's base bandwidth.
   host_.bw_acc = links_.base_bw();
-  validate_accelerators(/*allow_bw_override=*/false);
+  validate_accelerators();
   links_.bind(accs_.size());
   cache_capabilities();
 }

@@ -33,15 +33,14 @@ struct HostParams {
 
 class SystemConfig {
  public:
-  /// Scalar-BW_acc shim: builds a uniform Interconnect from host.bw_acc, or
-  /// a mixed one when any spec carries the deprecated bw_acc_override.
+  /// Scalar BW_acc: builds a uniform Interconnect from host.bw_acc. Use the
+  /// Interconnect constructor for per-accelerator link speeds
+  /// (Interconnect::mixed) or switch fabrics.
   SystemConfig(std::vector<AcceleratorPtr> accelerators, HostParams host);
 
   /// Explicit link topology. The interconnect is bound to the accelerator
   /// count here (validating overrides); host.bw_acc is taken from the
-  /// topology's base bandwidth, so the two cannot disagree. Specs carrying
-  /// the deprecated bw_acc_override are rejected — fold them into the
-  /// Interconnect instead.
+  /// topology's base bandwidth, so the two cannot disagree.
   SystemConfig(std::vector<AcceleratorPtr> accelerators, Interconnect links,
                HostParams host = {});
 
@@ -72,8 +71,7 @@ class SystemConfig {
   }
 
   /// Effective host-link bandwidth for `id` — the topology's host link
-  /// (which the scalar-shim constructor derives from host.bw_acc and any
-  /// deprecated per-spec overrides, reproducing the old values exactly).
+  /// (host.bw_acc everywhere under the scalar constructor).
   [[nodiscard]] double bw_acc(AccId id) const {
     H2H_EXPECTS(contains(id));
     return links_.host_bandwidth(id);
@@ -153,7 +151,7 @@ class SystemConfig {
   }
 
  private:
-  void validate_accelerators(bool allow_bw_override) const;
+  void validate_accelerators() const;
   void cache_capabilities();
   void refresh_derate_fingerprint();
 

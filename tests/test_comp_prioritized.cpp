@@ -177,7 +177,7 @@ TEST(CompPrioritized, BalancesIndependentBranchesAcrossAccelerators) {
 
 // A wave of identical parallel convolutions on identical accelerators: every
 // permutation of an assignment reaches the same per-accelerator tail vector,
-// the regime the dominance table exists for.
+// so (makespan, finish-sum) ties abound and the colex tie-break decides.
 [[nodiscard]] ModelGraph make_symmetric_wave_model(std::uint32_t width) {
   ModelBuilder b("sym-wave");
   const LayerId in = b.input("in", 8, 32, 32);
@@ -188,99 +188,55 @@ TEST(CompPrioritized, BalancesIndependentBranchesAcrossAccelerators) {
   return std::move(b).build();
 }
 
-void expect_identical_mappings(const ModelGraph& m, const Mapping& a,
-                               const Mapping& b, const char* what) {
-  for (const LayerId id : m.all_layers()) {
-    ASSERT_EQ(a.acc_of(id), b.acc_of(id)) << what << ": layer " << id.value;
-    ASSERT_EQ(a.seq_of(id), b.seq_of(id)) << what << ": layer " << id.value;
+// The pruned DFS must land on exactly the brute-force enumeration's mapping
+// — placements and sequence — on every zoo model at every paper bandwidth.
+TEST(CompPrioritized, MatchesBruteForceReferenceOnZoo) {
+  for (const ZooInfo& info : zoo_catalog()) {
+    const ModelGraph m = make_model(info.id);
+    for (const BandwidthSetting bw : all_bandwidth_settings()) {
+      const SystemConfig sys = SystemConfig::standard(bw);
+      const Simulator sim(m, sys);
+      EXPECT_EQ(testing::mapping_diff(m, testing::reference_step1(sim),
+                                      computation_prioritized_mapping(sim)),
+                "")
+          << info.key << " @ " << to_string(bw);
+    }
   }
 }
 
-// The dominance table and the batched leaf scan are pure optimizations: the
-// full on/off grid must land on the same mapping, on every zoo model at both
-// bandwidth corners.
-TEST(CompPrioritized, DominanceAndBatchedGridBitIdenticalOnZoo) {
-  for (const ZooModel zm :
-       {ZooModel::VLocNet, ZooModel::CasiaSurf, ZooModel::Vfs,
-        ZooModel::FaceBag, ZooModel::CnnLstm, ZooModel::MoCap}) {
-    const ModelGraph m = make_model(zm);
-    for (const double bw : {0.125e9, 0.5e9}) {
-      const SystemConfig sys = SystemConfig::standard(bw);
+// Permutation-symmetric waves maximize exact ties, so they exercise the
+// colex tie-break on every chunk; small candidate budgets add the chunked
+// (greedy-in-sequence) regime on both sides.
+TEST(CompPrioritized, MatchesBruteForceReferenceOnSymmetricWaves) {
+  for (std::uint32_t width = 2; width <= 6; ++width) {
+    const ModelGraph m = make_symmetric_wave_model(width);
+    for (std::size_t accs = 2; accs <= 4; ++accs) {
+      const SystemConfig sys = testing::make_uniform_system(accs);
       const Simulator sim(m, sys);
-      CompPrioritizedOptions reference;
-      reference.use_dominance = false;
-      reference.use_batched_sums = false;
-      const Mapping want = computation_prioritized_mapping(sim, reference);
-      for (const bool dom : {false, true}) {
-        for (const bool batched : {false, true}) {
-          if (!dom && !batched) continue;
-          CompPrioritizedOptions opt;
-          opt.use_dominance = dom;
-          opt.use_batched_sums = batched;
-          CompPrioritizedStats st;
-          opt.stats = &st;
-          const Mapping got = computation_prioritized_mapping(sim, opt);
-          expect_identical_mappings(m, want, got, zoo_info(zm).key.data());
-          EXPECT_EQ(st.dominance_fallbacks, 0u) << zoo_info(zm).key;
-        }
+      for (const std::uint64_t budget :
+           {std::uint64_t{2}, std::uint64_t{16},
+            CompPrioritizedOptions{}.max_candidates}) {
+        CompPrioritizedOptions opt;
+        opt.max_candidates = budget;
+        const Mapping want = testing::reference_step1(sim, budget);
+        EXPECT_EQ(testing::mapping_diff(
+                      m, want, computation_prioritized_mapping(sim, opt)),
+                  "")
+            << "width " << width << " on " << accs << " accs, budget "
+            << budget;
       }
     }
   }
 }
 
-// On a permutation-symmetric wave the dominance table must actually cut
-// subtrees — and still reproduce the exact unpruned mapping (including the
-// colex-smallest tie-break, which symmetric waves exercise maximally).
-TEST(CompPrioritized, DominancePrunesSymmetricWavesExactly) {
-  const ModelGraph m = make_symmetric_wave_model(6);
-  const SystemConfig sys = testing::make_uniform_system(3);
-  const Simulator sim(m, sys);
-
-  CompPrioritizedOptions off;
-  off.use_dominance = false;
-  const Mapping want = computation_prioritized_mapping(sim, off);
-
-  CompPrioritizedOptions on;
-  CompPrioritizedStats st;
-  on.stats = &st;
-  const Mapping got = computation_prioritized_mapping(sim, on);
-
-  expect_identical_mappings(m, want, got, "sym-wave");
-  EXPECT_GT(st.dominance_pruned, 0u);
-  EXPECT_GT(st.dominance_states, 0u);
-  EXPECT_EQ(st.dominance_fallbacks, 0u);
-}
-
-// A deliberately tiny dominance table must saturate, count the fallbacks,
-// and stay exact: saturation only stops learning, never prunes wrongly.
-TEST(CompPrioritized, SaturatedDominanceTableStaysExact) {
-  const ModelGraph m = make_symmetric_wave_model(6);
-  const SystemConfig sys = testing::make_uniform_system(3);
-  const Simulator sim(m, sys);
-
-  CompPrioritizedOptions off;
-  off.use_dominance = false;
-  const Mapping want = computation_prioritized_mapping(sim, off);
-
-  CompPrioritizedOptions tiny;
-  tiny.dominance_slots = 4;
-  CompPrioritizedStats st;
-  tiny.stats = &st;
-  const Mapping got = computation_prioritized_mapping(sim, tiny);
-
-  expect_identical_mappings(m, want, got, "saturated");
-  EXPECT_GT(st.dominance_fallbacks, 0u);
-}
-
 // Stats sanity on a mini model: wave/chunk accounting is exact, evaluation
-// counts are positive, and disabled knobs report zero work.
+// counts are positive, and the retired dominance counter stays zero.
 TEST(CompPrioritized, StatsAccounting) {
   const ModelGraph m = make_mini_mmmt_model();
   const SystemConfig sys = make_mini_hetero_system();
   const Simulator sim(m, sys);
 
   CompPrioritizedOptions opt;
-  opt.use_dominance = false;
   CompPrioritizedStats st;
   opt.stats = &st;
   (void)computation_prioritized_mapping(sim, opt);
@@ -288,8 +244,6 @@ TEST(CompPrioritized, StatsAccounting) {
   EXPECT_GE(st.chunks, st.waves);
   EXPECT_GT(st.evaluated, 0u);
   EXPECT_EQ(st.dominance_pruned, 0u);
-  EXPECT_EQ(st.dominance_states, 0u);
-  EXPECT_EQ(st.dominance_fallbacks, 0u);
 }
 
 }  // namespace

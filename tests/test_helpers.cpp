@@ -1,6 +1,11 @@
 #include "test_helpers.h"
 
+#include <algorithm>
 #include <array>
+#include <bit>
+#include <limits>
+#include <optional>
+#include <utility>
 
 #include "accel/analytical_models.h"
 #include "util/str.h"
@@ -211,6 +216,227 @@ SystemConfig make_random_system(Rng& rng) {
   HostParams host;
   host.bw_acc = gbps(rng.uniform_real(0.1, 2.0));
   return SystemConfig(std::move(accs), host);
+}
+
+Mapping reference_step1(const Simulator& sim, std::uint64_t max_candidates) {
+  const ModelGraph& model = sim.model();
+  const CostTable& costs = sim.costs();
+  const std::size_t n_accs = sim.sys().accelerator_count();
+  Mapping mapping(model);
+  std::vector<bool> done(model.layer_count(), false);
+  for (const LayerId id : model.all_layers())
+    done[id.value] = model.layer(id).kind == LayerKind::Input;
+  std::vector<double> finish(model.layer_count(), 0.0);
+  std::vector<double> acc_tail(n_accs, 0.0);
+  double makespan = 0.0;
+
+  while (true) {
+    std::vector<LayerId> wave;
+    for (const LayerId id : model.all_layers()) {
+      if (done[id.value]) continue;
+      const auto preds = model.graph().preds(id);
+      if (std::all_of(preds.begin(), preds.end(),
+                      [&done](LayerId p) { return done[p.value]; }))
+        wave.push_back(id);
+    }
+    if (wave.empty()) break;
+
+    std::vector<std::vector<AccId>> cands(wave.size());
+    std::vector<std::vector<double>> durs(wave.size());
+    std::vector<double> ready(wave.size(), 0.0);
+    for (std::size_t i = 0; i < wave.size(); ++i) {
+      for (std::uint32_t a = 0; a < n_accs; ++a) {
+        if (!costs.supported(wave[i], AccId{a})) continue;
+        cands[i].push_back(AccId{a});
+        durs[i].push_back(costs.unlocalized_duration(wave[i], AccId{a}));
+      }
+      for (const LayerId p : model.graph().preds(wave[i]))
+        ready[i] = std::max(ready[i], finish[p.value]);
+    }
+
+    for (std::size_t begin = 0; begin < wave.size();) {
+      std::size_t end = begin;
+      std::uint64_t product = 1;
+      while (end < wave.size() &&
+             (end == begin || product * cands[end].size() <= max_candidates))
+        product *= cands[end++].size();
+
+      std::vector<std::size_t> digit(end - begin, 0);
+      std::vector<std::size_t> best;
+      std::vector<double> tail;
+      double best_mk = std::numeric_limits<double>::infinity();
+      double best_sum = std::numeric_limits<double>::infinity();
+      while (true) {
+        tail.assign(acc_tail.begin(), acc_tail.end());
+        double mk = makespan;
+        double sum = 0.0;
+        for (std::size_t i = begin; i < end; ++i) {
+          const std::size_t c = digit[i - begin];
+          const AccId a = cands[i][c];
+          const double fin = std::max(ready[i], tail[a.value]) + durs[i][c];
+          tail[a.value] = fin;
+          mk = std::max(mk, fin);
+          sum += fin;
+        }
+        if (mk < best_mk || (mk == best_mk && sum < best_sum)) {
+          best_mk = mk;
+          best_sum = sum;
+          best = digit;
+        }
+        std::size_t i = 0;
+        while (i < digit.size() && ++digit[i] == cands[begin + i].size())
+          digit[i++] = 0;
+        if (i == digit.size()) break;
+      }
+
+      for (std::size_t i = begin; i < end; ++i) {
+        const std::size_t c = best[i - begin];
+        const AccId a = cands[i][c];
+        mapping.assign(wave[i], a);
+        const double fin = std::max(ready[i], acc_tail[a.value]) + durs[i][c];
+        acc_tail[a.value] = fin;
+        finish[wave[i].value] = fin;
+        makespan = std::max(makespan, fin);
+        done[wave[i].value] = true;
+      }
+      begin = end;
+    }
+  }
+  return mapping;
+}
+
+RemapStats reference_remap(const Simulator& sim, Mapping& mapping,
+                           LocalityPlan& plan, const RemapOptions& options) {
+  const ModelGraph& model = sim.model();
+  const CostTable& costs = sim.costs();
+  const auto objective = [&](const Mapping& m, const LocalityPlan& p) {
+    const ScheduleResult r = sim.simulate(m, p);
+    return options.objective == RemapObjective::Latency
+               ? r.latency
+               : r.latency * r.energy.total();
+  };
+
+  std::vector<LayerId> order = model.all_layers();
+  std::sort(order.begin(), order.end(), [&mapping](LayerId l, LayerId r) {
+    return mapping.seq_of(l) < mapping.seq_of(r);
+  });
+
+  RemapStats stats;
+  double current = objective(mapping, plan);
+  for (std::uint32_t pass = 0; pass < options.max_passes; ++pass) {
+    ++stats.passes;
+    bool improved = false;
+    for (const LayerId node : order) {
+      if (model.layer(node).kind == LayerKind::Input) continue;
+      if (options.locked && (*options.locked)[node.value]) continue;
+      const AccId src = mapping.acc_of(node);
+      std::vector<AccId> cands;
+      const auto consider = [&](AccId a) {
+        if (!a.valid() || a.is_host() || a == src) return;
+        if (!costs.supported(node, a)) return;
+        if (std::find(cands.begin(), cands.end(), a) == cands.end())
+          cands.push_back(a);
+      };
+      for (const LayerId p : model.graph().preds(node))
+        consider(mapping.acc_of(p));
+      for (const LayerId s : model.graph().succs(node))
+        consider(mapping.acc_of(s));
+      consider(costs.affinity_acc(node));
+      std::sort(cands.begin(), cands.end());
+
+      std::optional<std::pair<Mapping, LocalityPlan>> best;
+      double best_metric = current;
+      for (const AccId dst : cands) {
+        ++stats.attempts;
+        Mapping m = mapping;
+        LocalityPlan p = plan;
+        m.reassign(node, dst);
+        optimize_weight_locality(sim, m, p, options.weight);
+        optimize_activation_fusion(sim, m, p, options.fusion);
+        const double metric = objective(m, p);
+        if (metric < best_metric - options.epsilon) {
+          best_metric = metric;
+          best.emplace(std::move(m), std::move(p));
+        }
+      }
+      if (best) {
+        mapping = std::move(best->first);
+        plan = std::move(best->second);
+        current = best_metric;
+        ++stats.accepted;
+        improved = true;
+      }
+    }
+    if (!improved) break;
+  }
+  return stats;
+}
+
+std::string mapping_diff(const ModelGraph& model, const Mapping& a,
+                         const Mapping& b) {
+  for (const LayerId id : model.all_layers()) {
+    if (a.acc_of(id) != b.acc_of(id))
+      return strformat("layer %u: acc %u vs %u", id.value, a.acc_of(id).value,
+                       b.acc_of(id).value);
+    if (a.seq_of(id) != b.seq_of(id))
+      return strformat("layer %u: seq %u vs %u", id.value, a.seq_of(id),
+                       b.seq_of(id));
+  }
+  return {};
+}
+
+RemapComparison compare_remap_with_reference(const Simulator& sim,
+                                             const Mapping& mapping,
+                                             const LocalityPlan& plan,
+                                             const RemapOptions& options) {
+  const ModelGraph& model = sim.model();
+  Mapping lib_mapping = mapping;
+  LocalityPlan lib_plan = plan;
+  Mapping ref_mapping = mapping;
+  LocalityPlan ref_plan = plan;
+  RemapComparison out;
+  out.library = data_locality_remapping(sim, lib_mapping, lib_plan, options);
+  const RemapStats r = reference_remap(sim, ref_mapping, ref_plan, options);
+
+  const RemapStats& l = out.library;
+  if (l.passes != r.passes || l.attempts != r.attempts ||
+      l.accepted != r.accepted) {
+    out.diff = strformat("passes/attempts/accepted %u/%u/%u vs %u/%u/%u",
+                         l.passes, l.attempts, l.accepted, r.passes,
+                         r.attempts, r.accepted);
+    return out;
+  }
+  if (out.diff = mapping_diff(model, lib_mapping, ref_mapping);
+      !out.diff.empty())
+    return out;
+  for (const LayerId id : model.all_layers()) {
+    if (lib_plan.pinned(id) != ref_plan.pinned(id)) {
+      out.diff = strformat("layer %u: pin differs", id.value);
+      return out;
+    }
+    for (std::size_t i = 0; i < model.graph().preds(id).size(); ++i) {
+      if (lib_plan.fused_in(id, i) != ref_plan.fused_in(id, i)) {
+        out.diff = strformat("layer %u: fusion of in-edge %zu differs",
+                             id.value, i);
+        return out;
+      }
+    }
+  }
+  for (const AccId acc : sim.sys().all_accelerators()) {
+    if (lib_plan.used_dram(acc) != ref_plan.used_dram(acc)) {
+      out.diff = strformat("acc %u: DRAM use differs", acc.value);
+      return out;
+    }
+  }
+  const ScheduleResult a = sim.simulate(lib_mapping, lib_plan);
+  const ScheduleResult b = sim.simulate(ref_mapping, ref_plan);
+  if (std::bit_cast<std::uint64_t>(a.latency) !=
+          std::bit_cast<std::uint64_t>(b.latency) ||
+      std::bit_cast<std::uint64_t>(a.energy.total()) !=
+          std::bit_cast<std::uint64_t>(b.energy.total()))
+    out.diff = strformat("latency/energy %a/%a vs %a/%a", a.latency,
+                         a.energy.total(), b.latency, b.energy.total());
+  return out;
 }
 
 }  // namespace h2h::testing

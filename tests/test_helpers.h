@@ -1,10 +1,13 @@
 // Shared fixtures for the test suite: deterministic miniature models and
-// systems with numbers simple enough to verify by hand, plus random DAG and
-// random system generators for property sweeps.
+// systems with numbers simple enough to verify by hand, random DAG and
+// random system generators for property sweeps, and brute-force reference
+// implementations of the two search steps (step 1 and step 4) that share no
+// search code with the library.
 #pragma once
 
 #include <cstdint>
 #include <cstdlib>
+#include <string>
 
 #include "h2h.h"
 #include "util/rng.h"
@@ -85,5 +88,55 @@ namespace h2h::testing {
 /// Random heterogeneous system of 2..8 accelerators with randomized specs
 /// (every layer kind supported by at least one accelerator).
 [[nodiscard]] SystemConfig make_random_system(Rng& rng);
+
+// Reference searches. Each spells out the task-mapping semantics of one
+// search step as plainly as possible — enumerate, copy, re-run, simulate —
+// and reads only the cost table, the passes of steps 2-3 and the
+// simulator, so a test comparing the library against them checks the
+// search machinery (pruning, journals, delta passes, overlay probes)
+// against the plain semantics.
+
+/// Step 1 by brute force. Waves are the unmapped layers whose predecessors
+/// are all mapped (ascending id; inputs are mapped to the host up front).
+/// Each wave is cut into chunks exactly as the library does (extend while
+/// the product of candidate counts stays within `max_candidates`); a
+/// mixed-radix counter with position 0 varying fastest visits every
+/// assignment of a chunk, scores it by (makespan, sum of finish times) with
+/// zero locality, and keeps the first assignment that is strictly better.
+/// Chunks commit in wave order, so the sequence numbers match too.
+[[nodiscard]] Mapping reference_step1(
+    const Simulator& sim,
+    std::uint64_t max_candidates = CompPrioritizedOptions{}.max_candidates);
+
+/// Step 4 by copy and full re-simulation. Visits layers in sequence order;
+/// a layer's candidates are the accelerators of its predecessors and
+/// successors plus its compute-affinity accelerator, minus its own and the
+/// unsupported ones, ascending. Each candidate move is evaluated on a copy
+/// of (mapping, plan): reassign, the full steps 2 and 3 passes, simulate().
+/// The best candidate that improves the objective by more than `epsilon`
+/// is accepted. Honours objective, locked and max_passes (not deadline);
+/// fills passes, attempts and accepted of the returned stats.
+RemapStats reference_remap(const Simulator& sim, Mapping& mapping,
+                           LocalityPlan& plan,
+                           const RemapOptions& options = {});
+
+/// First difference in placement or sequence between two mappings of
+/// `model`, as text; empty when they are identical.
+[[nodiscard]] std::string mapping_diff(const ModelGraph& model,
+                                       const Mapping& a, const Mapping& b);
+
+struct RemapComparison {
+  RemapStats library;
+  /// First observable difference, empty when there is none: passes,
+  /// attempts and accepted moves; placement; pins, fusion flags and DRAM
+  /// use; latency and energy compared bit for bit.
+  std::string diff;
+};
+
+/// Runs data_locality_remapping and reference_remap on copies of the same
+/// (mapping, plan) — which must already hold steps 1-3 — and compares them.
+[[nodiscard]] RemapComparison compare_remap_with_reference(
+    const Simulator& sim, const Mapping& mapping, const LocalityPlan& plan,
+    const RemapOptions& options = {});
 
 }  // namespace h2h::testing

@@ -268,118 +268,5 @@ TEST_P(IncrementalProperty, RandomRemapSequenceStaysConsistent) {
 INSTANTIATE_TEST_SUITE_P(Seeds, IncrementalProperty,
                          ::testing::Range<std::uint64_t>(1, 16));
 
-// Property: the cone filter (set_cone_filter) is purely an optimization.
-// Across a random interleaving of probes, rollbacks, and accepted applies, a
-// filtered schedule and an unfiltered one must produce bit-identical probe
-// makespans and final timings — on uniform, mixed, and hierarchical link
-// topologies alike. Only the visit count may differ (filtered <=
-// unfiltered).
-using ConeFilterParam = std::tuple<std::uint64_t, int>;
-class ConeFilterProperty : public ::testing::TestWithParam<ConeFilterParam> {};
-
-TEST_P(ConeFilterProperty, BitIdenticalAcrossProbesRollbacksAndApplies) {
-  Rng rng(0xC0DE0000 + std::get<0>(GetParam()));
-  const int shape = std::get<1>(GetParam());
-  const ModelGraph m = testing::make_random_model(rng);
-  const SystemConfig sys = [&] {
-    switch (shape) {
-      case 1: {  // mixed: every third uplink 10x faster
-        std::vector<Interconnect::Override> fast;
-        for (std::uint32_t i = 0; i < 12; i += 3)
-          fast.emplace_back(i, gbps(1.25));
-        return SystemConfig::standard(
-            Interconnect::mixed(gbps(0.125), std::move(fast)));
-      }
-      case 2: {  // hierarchical: fast groups, slow fabric, per-hop latency
-        Interconnect::HierarchicalSpec spec;
-        spec.group_size = 4;
-        spec.intra_bw = gbps(1.25);
-        spec.uplink_bw = gbps(0.25);
-        spec.host_bw = gbps(0.125);
-        spec.hop_latency_s = 1e-6;
-        return SystemConfig::standard(Interconnect::hierarchical(spec));
-      }
-      default:
-        return SystemConfig::standard(gbps(0.125));
-    }
-  }();
-  ASSERT_EQ(sys.links().uniform_links(), shape == 0);
-
-  const Simulator sim(m, sys);
-  Mapping mapping = computation_prioritized_mapping(sim);
-  LocalityPlan plan(m);
-  plan.ensure_acc_count(sys.accelerator_count());
-  optimize_weight_locality(sim, mapping, plan);
-  optimize_activation_fusion(sim, mapping, plan);
-
-  IncrementalSchedule filtered(sim);
-  IncrementalSchedule unfiltered(sim);
-  filtered.set_cone_filter(true);
-  unfiltered.set_cone_filter(false);
-  filtered.reset(mapping, plan);
-  unfiltered.reset(mapping, plan);
-
-  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
-  const std::vector<LayerId> layers = m.all_layers();
-  std::vector<LayerId> dirty;
-  int probes = 0;
-  for (int step = 0; step < 40; ++step) {
-    const LayerId node = layers[rng.index(layers.size())];
-    if (m.layer(node).kind == LayerKind::Input) continue;
-    const auto cands = sim.costs().supporting(m.layer(node).kind);
-    if (cands.empty()) continue;
-    const AccId dst = cands[rng.index(cands.size())];
-    const AccId src = mapping.acc_of(node);
-    if (dst == src) continue;
-    const std::array<AccId, 2> touched{src, dst};
-
-    mapping.begin_journal();
-    plan.begin_journal();
-    mapping.reassign(node, dst);
-    optimize_weight_locality(sim, mapping, plan, {}, touched);
-    optimize_activation_fusion(sim, mapping, plan, {}, touched);
-    dirty.clear();
-    plan.journal_touched_layers(m, dirty);
-    if (!sim.costs().uniform_links())
-      for (const LayerId s : m.graph().succs(node)) dirty.push_back(s);
-
-    const double with = filtered.probe_remap(mapping, plan, node, src, dirty);
-    const double without =
-        unfiltered.probe_remap(mapping, plan, node, src, dirty);
-    ASSERT_EQ(bits(with), bits(without)) << "probe " << probes;
-    ++probes;
-
-    if (step % 3 == 0) {  // accept this move; roll the rest back
-      filtered.apply_remap(mapping, plan, node, src, dirty);
-      unfiltered.apply_remap(mapping, plan, node, src, dirty);
-      plan.commit_journal();
-      mapping.commit_journal();
-      ASSERT_EQ(bits(filtered.latency()), bits(unfiltered.latency()))
-          << "apply at step " << step;
-    } else {
-      plan.rollback_journal();
-      mapping.rollback_journal();
-    }
-  }
-  ASSERT_GT(probes, 0);
-  EXPECT_LE(filtered.retime_count(), unfiltered.retime_count());
-  expect_same_timings(filtered, sim, mapping, plan);
-  expect_same_timings(unfiltered, sim, mapping, plan);
-}
-
-std::string cone_filter_param_name(
-    const ::testing::TestParamInfo<ConeFilterParam>& info) {
-  const char* shape = "uniform";
-  if (std::get<1>(info.param) == 1) shape = "mixed";
-  if (std::get<1>(info.param) == 2) shape = "hierarchical";
-  return std::string(shape) + "_seed" + std::to_string(std::get<0>(info.param));
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    SeedsAndShapes, ConeFilterProperty,
-    ::testing::Combine(::testing::Range<std::uint64_t>(1, 6),
-                       ::testing::Values(0, 1, 2)),
-    cone_filter_param_name);
-
 }  // namespace
 }  // namespace h2h

@@ -194,9 +194,7 @@ TEST(PlannerRequest, ExactlyOneModelSourceRequired) {
 }
 
 // The acceptance pin: the default pipeline through Planner reproduces the
-// one-shot plan_once() bit-for-bit across the zoo grid (plan_once is the
-// exact computation the deprecated H2HMapper performed; their equivalence
-// is pinned in test_h2h_mapper.cpp).
+// one-shot plan_once() bit-for-bit across the zoo grid.
 class PlannerBitIdentityTest
     : public ::testing::TestWithParam<std::tuple<ZooModel, BandwidthSetting>> {
 };
@@ -338,6 +336,107 @@ TEST(PlannerPipelines, DynamicModalityRoundsReuseSessions) {
   EXPECT_TRUE(mapper.remap(sub).h2h.warm);
   EXPECT_EQ(mapper.planner().cache_misses(), 2u);
   EXPECT_EQ(mapper.planner().cache_hits(), 2u);
+}
+
+TEST(PlanOnce, PipelineProducesFourMonotoneSteps) {
+  const ModelGraph m = testing::make_mini_mmmt_model();
+  const SystemConfig sys = testing::make_mini_hetero_system(0.125e9);
+  const PlanResponse r = plan_once(m, sys);
+
+  ASSERT_EQ(r.steps.size(), 4u);
+  // Each locality step can only shorten layer durations; FIFO list
+  // scheduling makes finish times monotone in durations.
+  EXPECT_LE(r.steps[1].result.latency, r.steps[0].result.latency);
+  EXPECT_LE(r.steps[2].result.latency, r.steps[1].result.latency);
+  EXPECT_LE(r.steps[3].result.latency, r.steps[2].result.latency);
+  EXPECT_NO_THROW(r.mapping.validate(m, sys));
+  EXPECT_GT(r.final_result().energy.total(), 0.0);
+  EXPECT_GE(r.search_seconds, 0.0);
+  // The paper's baseline is the step-2 snapshot.
+  EXPECT_DOUBLE_EQ(r.latency_vs_baseline(),
+                   r.final_result().latency / r.steps[1].result.latency);
+  EXPECT_LE(r.latency_vs_baseline(), 1.0);
+}
+
+TEST(PlanOnce, RemappingCanBeDisabled) {
+  const ModelGraph m = testing::make_mini_mmmt_model();
+  const SystemConfig sys = testing::make_mini_hetero_system();
+  PlanOptions opts;
+  opts.run_remapping = false;
+  const PlanResponse r = plan_once(m, sys, opts);
+  EXPECT_EQ(r.steps.size(), 3u);
+  EXPECT_EQ(r.remap_stats.accepted, 0u);
+}
+
+TEST(PlanOnce, RejectsInvalidModels) {
+  const ModelGraph empty("empty");
+  const SystemConfig sys = testing::make_mini_hetero_system();
+  EXPECT_THROW((void)plan_once(empty, sys), ConfigError);
+}
+
+TEST(PlanOnce, DeterministicEndToEnd) {
+  const ModelGraph m = make_model(ZooModel::MoCap);
+  const SystemConfig sys = SystemConfig::standard(BandwidthSetting::LowMinus);
+  const PlanResponse a = plan_once(m, sys);
+  const PlanResponse b = plan_once(m, sys);
+  expect_same_response(a, b, m);
+}
+
+// The paper's headline claims on the real zoo and the standard system.
+class ZooPipelineTest : public ::testing::TestWithParam<ZooModel> {};
+
+TEST_P(ZooPipelineTest, StepwiseMonotoneAtLowBandwidth) {
+  const ModelGraph m = make_model(GetParam());
+  const SystemConfig sys = SystemConfig::standard(BandwidthSetting::LowMinus);
+  const PlanResponse r = plan_once(m, sys);
+  ASSERT_EQ(r.steps.size(), 4u);
+  for (std::size_t i = 1; i < 4; ++i)
+    EXPECT_LE(r.steps[i].result.latency, r.steps[i - 1].result.latency)
+        << "step " << i;
+  // The paper's headline: H2H beats the computation-prioritized baseline
+  // when bandwidth-bound (15-74% reduction; we require at least 10%).
+  EXPECT_LT(r.latency_vs_baseline(), 0.90);
+  EXPECT_LT(r.energy_vs_baseline(), 1.0);
+  // Fig. 5a direction: the computation share rises after H2H. For LSTM
+  // models whose *baseline* strands a layer on a re-fetch-bound engine, the
+  // baseline's compute side is artificially inflated, so the ratio check is
+  // asserted on absolute host-communication time instead.
+  if (GetParam() == ZooModel::CnnLstm || GetParam() == ZooModel::MoCap) {
+    EXPECT_LE(r.final_result().host_time,
+              r.baseline_result().host_time * 1.05);
+  } else {
+    EXPECT_GT(r.final_result().comp_ratio(), r.baseline_result().comp_ratio());
+  }
+}
+
+TEST_P(ZooPipelineTest, SearchTimeUnderOneSecond) {
+  const ModelGraph m = make_model(GetParam());
+  const SystemConfig sys = SystemConfig::standard(BandwidthSetting::Mid);
+  const PlanResponse r = plan_once(m, sys);
+  // Fig. 5(b): "consistently low" (relaxed in unoptimized builds).
+  EXPECT_LT(r.search_seconds, testing::search_time_budget());
+}
+
+INSTANTIATE_TEST_SUITE_P(AllModels, ZooPipelineTest,
+                         ::testing::Values(ZooModel::VLocNet,
+                                           ZooModel::CasiaSurf, ZooModel::Vfs,
+                                           ZooModel::FaceBag, ZooModel::CnnLstm,
+                                           ZooModel::MoCap),
+                         [](const ::testing::TestParamInfo<ZooModel>& i) {
+                           std::string name(zoo_info(i.param).key);
+                           for (char& c : name)
+                             if (c == '-') c = '_';
+                           return name;
+                         });
+
+TEST(PlanOnce, ReductionShrinksWithBandwidth) {
+  // Fig. 4 trend: higher BW_acc -> smaller relative H2H gain.
+  const ModelGraph m = make_model(ZooModel::CasiaSurf);
+  const SystemConfig low = SystemConfig::standard(BandwidthSetting::LowMinus);
+  const SystemConfig high = SystemConfig::standard(BandwidthSetting::High);
+  const double gain_low = 1.0 - plan_once(m, low).latency_vs_baseline();
+  const double gain_high = 1.0 - plan_once(m, high).latency_vs_baseline();
+  EXPECT_GT(gain_low, gain_high);
 }
 
 TEST(ModelFingerprint, DistinguishesStructureNotBatch) {

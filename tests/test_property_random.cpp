@@ -218,7 +218,7 @@ TEST_P(PipelineProperty, DeltaProbesMatchFullPassesAndMemberLists) {
 
   IncrementalSchedule inc(sim);
   inc.reset(mapping, plan);
-  RemapDeltaState delta(sim, {}, {}, /*use_knapsack_cache=*/true);
+  RemapDeltaState delta(sim, {}, {});
   delta.init(mapping, plan);
 
   const std::vector<LayerId> layers = model.all_layers();
@@ -243,7 +243,7 @@ TEST_P(PipelineProperty, DeltaProbesMatchFullPassesAndMemberLists) {
 
   // The maintained aggregates must equal a from-scratch re-derivation.
   const auto check_aggregates = [&] {
-    RemapDeltaState fresh(sim, {}, {}, false);
+    RemapDeltaState fresh(sim, {}, {});
     fresh.init(mapping, plan);
     for (const AccId acc : sys.all_accelerators())
       ASSERT_TRUE(delta.aggregates(acc) == fresh.aggregates(acc))
@@ -347,6 +347,39 @@ TEST_P(PipelineProperty, DeltaProbesMatchFullPassesAndMemberLists) {
   // Whatever mix happened, the tracked schedule still matches a full
   // re-simulation bit for bit.
   ASSERT_DOUBLE_EQ(inc.latency(), sim.simulate(mapping, plan).latency);
+}
+
+// Both search steps against their reference implementations on random
+// models and random heterogeneous systems: 8 step-1 and 4 step-4 instances
+// per seed (200 and 100 over the suite's 25 seeds).
+TEST_P(PipelineProperty, Step1MatchesBruteForceReference) {
+  for (std::uint64_t k = 0; k < 8; ++k) {
+    Rng rng(GetParam() * 8 + k + 4000);
+    const ModelGraph model = testing::make_random_model(rng);
+    const SystemConfig sys = testing::make_random_system(rng);
+    const Simulator sim(model, sys);
+    EXPECT_EQ(testing::mapping_diff(model, testing::reference_step1(sim),
+                                    computation_prioritized_mapping(sim)),
+              "")
+        << "instance " << k;
+  }
+}
+
+TEST_P(PipelineProperty, RemapMatchesReferenceSearch) {
+  for (std::uint64_t k = 0; k < 4; ++k) {
+    Rng rng(GetParam() * 4 + k + 6000);
+    const ModelGraph model = testing::make_random_model(rng);
+    const SystemConfig sys = testing::make_random_system(rng);
+    PlanOptions steps123;
+    steps123.run_remapping = false;
+    const PlanResponse seed = plan_once(model, sys, steps123);
+    const Simulator sim(model, sys);
+    EXPECT_EQ(
+        testing::compare_remap_with_reference(sim, seed.mapping, seed.plan)
+            .diff,
+        "")
+        << "instance " << k;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PipelineProperty,
