@@ -17,6 +17,9 @@ namespace {
 
 constexpr std::uint32_t kMaxBatch = 4096;
 constexpr std::uint32_t kMaxRounds = 64;
+// Co-mapping time grows steeply with the tenant count, so one request line
+// may not ask for more tenants than this.
+constexpr std::size_t kMaxTenants = 8;
 
 [[nodiscard]] std::string known_zoo_keys() {
   std::string keys;
@@ -483,6 +486,11 @@ template <typename Fail>
       tenants->as_array().empty()) {
     return fail(ErrorCode::BadField,
                 "tenants: expected a non-empty array (required)");
+  }
+  if (tenants->as_array().size() > kMaxTenants) {
+    return fail(ErrorCode::BadField,
+                strformat("tenants: at most %zu tenants per request, got %zu",
+                          kMaxTenants, tenants->as_array().size()));
   }
   for (const json::Value& entry : tenants->as_array()) {
     if (!entry.is_object()) {

@@ -52,13 +52,17 @@
 //                "slo_s":0.012,         // optional latency SLO, seconds
 //                "priority":3,          // optional positive integer
 //                "caps":"bigmem"},      // optional caps spec (capability.h)
-//               ...],                   // >= 1 tenant
+//               ...],                   // 1 to 8 tenants
 //    "bw_gbps":0.125,                   // BW_acc in GB/s, default 0.5
 //    "options":{...},                   // per-round plan options
 //    "max_rounds":3,                    // improvement sweeps after round 1
 //    "steal_round":true,
 //    "require_slos":false,              // true: an SLO miss is an error
 //    "emit":{"mapping":true}}           // tenants emit has only "mapping"
+//
+// More than 8 tenants in one request is answered with code "bad_field":
+// co-mapping cost grows steeply with the tenant count, so one line must not
+// hold the server for minutes.
 //
 // A tenant whose capability mask excludes every supporting accelerator is
 // answered with code "infeasible_capability". With "require_slos":true a
@@ -161,9 +165,10 @@ struct WireTenantsRequest {
 /// (0, 1]) and rejected for the other kinds. The session key is
 /// (model, links-or-bw, batch): a repair repairs the most recent successful
 /// plan response for that key on this server, compounding across repair
-/// requests; a new plan for the key resets the session. Out-of-order
-/// hazards are the client's: compounding sequences should be sent one at a
-/// time (await each response) or to a single-threaded server. Failures are
+/// requests; a new plan for the key resets the session. One TCP connection
+/// runs its requests in order, so a chain pipelined on one connection is
+/// safe; across connections, or on a stdin stream served by a worker pool,
+/// out-of-order hazards are the client's (await each response). Failures are
 /// error responses — "unknown_acc" (acc outside the catalog),
 /// "no_prior_plan" (nothing to repair yet), "bad_field" (contradictory
 /// transitions, e.g. losing an already-lost accelerator), and

@@ -10,6 +10,7 @@
 #include <memory>
 #include <mutex>
 #include <ostream>
+#include <semaphore>
 #include <thread>
 #include <tuple>
 #include <utility>
@@ -24,7 +25,10 @@
 #include <arpa/inet.h>
 #include <csignal>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <pthread.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -88,21 +92,56 @@ class SignalGuard {
 
 #endif  // H2H_SERVE_HAS_TCP
 
+/// The permits for a `threads` setting: at least 1, at most what a
+/// semaphore can count.
+[[nodiscard]] std::ptrdiff_t permit_count(std::size_t threads) {
+  constexpr auto kMax =
+      static_cast<std::size_t>(std::counting_semaphore<>::max());
+  return static_cast<std::ptrdiff_t>(std::clamp(threads, std::size_t{1}, kMax));
+}
+
+/// Holds one permit of a counting semaphore for its scope.
+class Permit {
+ public:
+  explicit Permit(std::counting_semaphore<>& permits) : permits_(permits) {
+    permits_.acquire();
+  }
+  ~Permit() { permits_.release(); }
+  Permit(const Permit&) = delete;
+  Permit& operator=(const Permit&) = delete;
+
+ private:
+  std::counting_semaphore<>& permits_;
+};
+
 /// Everything one request needs besides the line itself: the shared Planner
 /// and the name sources write_response reads. Lives across connections so a
 /// reconnecting client still hits warm sessions.
 class RequestProcessor {
  public:
-  explicit RequestProcessor(const PlannerOptions& planner_options)
+  /// At most `max_in_flight` calls to process() do request work at once;
+  /// the rest wait for a permit.
+  RequestProcessor(const PlannerOptions& planner_options,
+                   std::size_t max_in_flight)
       : planner_(planner_options),
-        name_sys_(SystemConfig::standard(0.5e9)) {}
+        name_sys_(SystemConfig::standard(0.5e9)),
+        permits_(permit_count(max_in_flight)) {}
 
   struct Outcome {
     std::string line;
     bool ok = false;
   };
 
+  /// Parses, dispatches and serializes one request under a permit. The
+  /// permit is released on return, before the caller writes the line, so a
+  /// client that stops reading never holds one.
   [[nodiscard]] Outcome process(const std::string& line) {
+    const Permit permit(permits_);
+    return dispatch(line);
+  }
+
+ private:
+  [[nodiscard]] Outcome dispatch(const std::string& line) {
     std::variant<WireRequest, WireTenantsRequest, WireRepairRequest,
                  WireError>
         parsed = parse_any_request(line);
@@ -130,7 +169,6 @@ class RequestProcessor {
     }
   }
 
- private:
   [[nodiscard]] Outcome process_tenants(const WireTenantsRequest& req) {
     try {
       CoMapSession& session = session_for(req.bw_gbps);
@@ -314,11 +352,16 @@ class RequestProcessor {
   std::mutex repair_mu_;
   std::map<RepairKey, PriorPlan> priors_;
   std::map<RepairKey, std::unique_ptr<RepairSession>> repairs_;
+  std::counting_semaphore<> permits_;
 };
 
 /// Reorders completed responses back into request order. Whichever thread
 /// completes the next-expected sequence number drains everything
 /// consecutive, so output needs no dedicated writer thread.
+///
+/// The first write that fails (the client is gone, or stopped reading past
+/// its idle timeout) marks the stream failed: later lines are dropped, and
+/// failed() tells the reader and the workers to stop working for it.
 class OrderedEmitter {
  public:
   explicit OrderedEmitter(std::ostream& out) : out_(out) {}
@@ -328,11 +371,18 @@ class OrderedEmitter {
     (ok ? stats_.ok : stats_.errors) += 1;
     ready_.emplace(seq, std::move(line));
     while (!ready_.empty() && ready_.begin()->first == next_) {
-      out_ << ready_.begin()->second << '\n';
-      out_.flush();
+      if (!failed_.load(std::memory_order_relaxed)) {
+        out_ << ready_.begin()->second << '\n';
+        out_.flush();
+        if (!out_) failed_.store(true, std::memory_order_relaxed);
+      }
       ready_.erase(ready_.begin());
       ++next_;
     }
+  }
+
+  [[nodiscard]] bool failed() const noexcept {
+    return failed_.load(std::memory_order_relaxed);
   }
 
   [[nodiscard]] ServeStats stats() const {
@@ -346,6 +396,7 @@ class OrderedEmitter {
   std::map<std::uint64_t, std::string> ready_;
   std::uint64_t next_ = 0;
   ServeStats stats_;
+  std::atomic<bool> failed_{false};
 };
 
 enum class LineStatus { Ok, Oversized, Eof };
@@ -395,7 +446,7 @@ ServeStats run_loop(RequestProcessor& processor, std::istream& in,
   };
 
   if (options.threads <= 1) {
-    for (;;) {
+    while (!emitter.failed()) {
       const LineStatus status = read_line(in, line, options.max_line_bytes);
       if (status == LineStatus::Eof || cut_by_signal(status)) break;
       if (status == LineStatus::Ok && line.empty()) continue;
@@ -433,13 +484,14 @@ ServeStats run_loop(RequestProcessor& processor, std::istream& in,
         inbox.pop_front();
         space_cv.notify_one();
         lock.unlock();
+        if (emitter.failed()) continue;
         RequestProcessor::Outcome o = processor.process(my_line);
         emitter.emit(my_seq, std::move(o.line), o.ok);
       }
     });
   }
 
-  for (;;) {
+  while (!emitter.failed()) {
     const LineStatus status = read_line(in, line, options.max_line_bytes);
     if (status == LineStatus::Eof || cut_by_signal(status)) break;
     if (status == LineStatus::Ok && line.empty()) continue;
@@ -474,10 +526,10 @@ ServeStats run_loop(RequestProcessor& processor, std::istream& in,
 /// A client that disconnects mid-response must not kill the server: writes
 /// go through send(MSG_NOSIGNAL) where available so a dead peer yields
 /// EPIPE instead of a process-fatal SIGPIPE, and any write error (EPIPE,
-/// ECONNRESET) reports cleanly as a stream failure — the serve loop then
-/// finishes the connection and accepts the next one. Platforms without
-/// MSG_NOSIGNAL (macOS) get the same guarantee from the SO_NOSIGPIPE
-/// socket option, set at accept time.
+/// ECONNRESET, or EAGAIN past the idle timeout) reports cleanly as a stream
+/// failure — the connection's loop then stops and its thread closes the
+/// socket. Platforms without MSG_NOSIGNAL (macOS) get the same guarantee
+/// from the SO_NOSIGPIPE socket option, set at accept time.
 class FdStreamBuf : public std::streambuf {
  public:
   explicit FdStreamBuf(int fd) : fd_(fd) {
@@ -543,6 +595,132 @@ void suppress_sigpipe(int fd) {
 #endif
 }
 
+/// The settings of an accepted socket: TCP_NODELAY, so the last segment
+/// of a response leaves at once instead of waiting for the client's delayed
+/// ACK (Nagle), and the idle timeout on reads and writes alike.
+void configure_connection(int fd, double idle_timeout_s) {
+  const int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  if (idle_timeout_s > 0) {
+    // At least 1 us: a zero timeval would mean "never".
+    const auto us = static_cast<std::int64_t>(
+        std::clamp(idle_timeout_s * 1e6, 1.0, 1e15));
+    timeval timeout{};
+    timeout.tv_sec = static_cast<time_t>(us / 1'000'000);
+    timeout.tv_usec = static_cast<suseconds_t>(us % 1'000'000);
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+    ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &timeout, sizeof(timeout));
+  }
+  suppress_sigpipe(fd);
+}
+
+/// The connections serve_tcp has open, one thread each. A thread closes its
+/// socket when its loop ends; the accept loop joins such threads as it
+/// goes, so a server that runs forever does not pile them up.
+class Connections {
+ public:
+  Connections() = default;
+  /// serve_tcp drains before this runs. On an exception path, end every
+  /// connection's reads so the joins cannot wait on a silent client.
+  ~Connections() {
+    close_reads();
+    (void)wait_below(1, [] { return false; });
+  }
+  Connections(const Connections&) = delete;
+  Connections& operator=(const Connections&) = delete;
+
+  /// Runs `serve` on a new thread that owns `fd` and closes it when `serve`
+  /// returns. SIGINT and SIGTERM are blocked on that thread, so shutdown
+  /// signals land on the accept thread and interrupt its accept().
+  template <class Serve>
+  void start(int fd, Serve serve) {
+    const std::scoped_lock lock(mu_);
+    const std::uint64_t id = next_id_++;
+    Connection& c = connections_[id];
+    c.fd = fd;
+    sigset_t block;
+    sigemptyset(&block);
+    sigaddset(&block, SIGINT);
+    sigaddset(&block, SIGTERM);
+    sigset_t old;
+    ::pthread_sigmask(SIG_BLOCK, &block, &old);
+    try {
+      c.thread = std::thread([this, id, serve = std::move(serve)]() mutable {
+        serve();
+        close_connection(id);
+      });
+    } catch (...) {
+      ::pthread_sigmask(SIG_SETMASK, &old, nullptr);
+      connections_.erase(id);
+      throw;
+    }
+    ::pthread_sigmask(SIG_SETMASK, &old, nullptr);
+    ++open_;
+  }
+
+  /// Waits until fewer than `cap` connections are open, joining the threads
+  /// of closed ones. Returns false as soon as `stop()` holds while the cap
+  /// is still reached; a signal handler cannot wake a condition variable,
+  /// so the wait asks `stop()` every 100 ms.
+  template <class Stop>
+  [[nodiscard]] bool wait_below(std::size_t cap, Stop stop) {
+    std::unique_lock lock(mu_);
+    for (;;) {
+      join_closed(lock);
+      if (open_ < cap) return true;
+      if (stop()) return false;
+      closed_cv_.wait_for(lock, std::chrono::milliseconds(100),
+                          [&] { return open_ < cap; });
+    }
+  }
+
+  /// shutdown(SHUT_RD) on every open socket: each loop reads the lines the
+  /// kernel already holds, then EOF, answers them all and closes.
+  void close_reads() {
+    const std::scoped_lock lock(mu_);
+    for (const auto& [id, c] : connections_) {
+      if (c.fd >= 0) ::shutdown(c.fd, SHUT_RD);
+    }
+  }
+
+ private:
+  struct Connection {
+    int fd = -1;  // -1 once closed
+    std::thread thread;
+  };
+
+  void close_connection(std::uint64_t id) noexcept {
+    const std::scoped_lock lock(mu_);
+    Connection& c = connections_.find(id)->second;
+    ::close(c.fd);
+    c.fd = -1;
+    --open_;
+    closed_cv_.notify_all();
+  }
+
+  void join_closed(std::unique_lock<std::mutex>& lock) {
+    std::vector<std::thread> closed;
+    for (auto it = connections_.begin(); it != connections_.end();) {
+      if (it->second.fd >= 0) {
+        ++it;
+        continue;
+      }
+      closed.push_back(std::move(it->second.thread));
+      it = connections_.erase(it);
+    }
+    if (closed.empty()) return;
+    lock.unlock();
+    for (std::thread& t : closed) t.join();
+    lock.lock();
+  }
+
+  std::mutex mu_;
+  std::condition_variable closed_cv_;
+  std::map<std::uint64_t, Connection> connections_;
+  std::uint64_t next_id_ = 0;
+  std::size_t open_ = 0;
+};
+
 #endif  // H2H_SERVE_HAS_TCP
 
 }  // namespace
@@ -550,7 +728,7 @@ void suppress_sigpipe(int fd) {
 ServeStats serve_jsonl(std::istream& in, std::ostream& out,
                        const ServeOptions& options) {
   const SignalGuard signals(options.handle_signals);
-  RequestProcessor processor(options.planner);
+  RequestProcessor processor(options.planner, options.threads);
   return run_loop(processor, in, out, options);
 }
 
@@ -573,7 +751,7 @@ int serve_tcp(const TcpOptions& options, std::ostream& diag,
   addr.sin_port = htons(options.port);
   if (::bind(listen_fd, reinterpret_cast<const sockaddr*>(&addr),
              sizeof(addr)) != 0 ||
-      ::listen(listen_fd, 16) != 0) {
+      ::listen(listen_fd, SOMAXCONN) != 0) {
     diag << "h2h-serve: bind/listen: " << std::strerror(errno) << '\n';
     ::close(listen_fd);
     return 1;
@@ -585,22 +763,52 @@ int serve_tcp(const TcpOptions& options, std::ostream& diag,
        << std::endl;
 
   // One processor across connections: a client that reconnects keeps its
-  // warm sessions.
+  // warm sessions, and its permits bound the request work of all of them.
+  // Each connection runs the inline loop, so its requests run and are
+  // answered strictly in order.
   const SignalGuard signals(options.serve.handle_signals);
-  RequestProcessor processor(options.serve.planner);
+  RequestProcessor processor(options.serve.planner, options.serve.threads);
+  ServeOptions conn_options = options.serve;
+  conn_options.threads = 1;
+  const auto stopping = [&options] {
+    return options.serve.handle_signals && shutdown_requested();
+  };
+  std::mutex diag_mu;  // connection threads report on `diag` too
+  const auto serve_connection = [&](int fd) {
+    ServeStats conn_stats;
+    try {
+      FdStreamBuf buf(fd);
+      std::istream conn_in(&buf);
+      std::ostream conn_out(&buf);
+      conn_stats = run_loop(processor, conn_in, conn_out, conn_options);
+      conn_out.flush();
+    } catch (const std::exception& e) {
+      const std::scoped_lock lock(diag_mu);
+      diag << "h2h-serve: connection failed: " << e.what() << '\n';
+    }
+    const std::scoped_lock lock(diag_mu);
+    ++stats->connections;
+    diag << "h2h-serve: connection done (" << conn_stats.requests
+         << " requests, " << conn_stats.errors << " errors)" << std::endl;
+  };
+
+  int rc = 0;
+  Connections connections;
+  std::uint64_t accepted = 0;
   std::uint32_t accept_failures = 0;  // consecutive transient failures
-  for (std::uint64_t served = 0;
-       options.max_connections == 0 || served < options.max_connections;
-       ++served) {
+  while (!stopping() && (options.max_connections == 0 ||
+                         accepted < options.max_connections)) {
+    // At the cap, further connects wait in the kernel backlog.
+    if (!connections.wait_below(
+            std::max<std::size_t>(options.max_open_connections, 1),
+            stopping)) {
+      break;
+    }
     const int conn = ::accept(listen_fd, nullptr, nullptr);
     if (conn < 0) {
-      if (errno == EINTR) {
-        // A shutdown signal interrupts accept; anything else (e.g. a
-        // profiler attaching) just retries.
-        if (options.serve.handle_signals && shutdown_requested()) break;
-        --served;
-        continue;
-      }
+      // A shutdown signal interrupts accept; anything else (e.g. a
+      // profiler attaching) just retries.
+      if (errno == EINTR) continue;
       // Transient failures — the peer aborted its connect, or the process
       // is briefly out of descriptors — back off and retry instead of
       // taking the listener down. Persistent failure still exits 1.
@@ -610,34 +818,40 @@ int serve_tcp(const TcpOptions& options, std::ostream& diag,
         ++stats->accept_retries;
         std::this_thread::sleep_for(std::chrono::milliseconds(
             std::int64_t{1} << std::min<std::uint32_t>(accept_failures, 8)));
-        --served;
         continue;
       }
+      const std::scoped_lock lock(diag_mu);
       diag << "h2h-serve: accept: " << std::strerror(errno) << '\n';
-      ::close(listen_fd);
-      return 1;
+      rc = 1;
+      break;
     }
     accept_failures = 0;
-    suppress_sigpipe(conn);
-    FdStreamBuf buf(conn);
-    std::istream conn_in(&buf);
-    std::ostream conn_out(&buf);
-    const ServeStats conn_stats =
-        run_loop(processor, conn_in, conn_out, options.serve);
-    conn_out.flush();
-    ::close(conn);
-    ++stats->connections;
-    diag << "h2h-serve: connection done (" << conn_stats.requests
-         << " requests, " << conn_stats.errors << " errors)" << std::endl;
-    if (options.serve.handle_signals && shutdown_requested()) break;
+    ++accepted;
+    configure_connection(conn, options.idle_timeout_s);
+    try {
+      connections.start(conn, [&serve_connection, conn] {
+        serve_connection(conn);
+      });
+    } catch (const std::exception& e) {
+      ::close(conn);
+      const std::scoped_lock lock(diag_mu);
+      diag << "h2h-serve: connection thread: " << e.what() << '\n';
+    }
   }
   ::close(listen_fd);
+
+  // Drain: wait for every connection to close. A shutdown signal, or a
+  // listener that failed, ends their reads instead; each still answers
+  // every line it has read.
+  if (rc != 0 || !connections.wait_below(1, stopping)) {
+    connections.close_reads();
+    (void)connections.wait_below(1, [] { return false; });
+  }
+  if (rc != 0) return rc;
   diag << "h2h-serve: served " << stats->connections << " connection(s), "
        << stats->accept_retries << " accept retr"
        << (stats->accept_retries == 1 ? "y" : "ies") << std::endl;
-  if (options.serve.handle_signals && shutdown_requested()) {
-    diag << "h2h-serve: shutting down on signal" << std::endl;
-  }
+  if (stopping()) diag << "h2h-serve: shutting down on signal" << std::endl;
   return 0;
 #else
   (void)options;

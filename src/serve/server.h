@@ -11,20 +11,26 @@
 //
 // Every failure mode becomes an `ok:false` response line: malformed JSON,
 // schema violations, and planning exceptions are answered and the loop
-// keeps going. Nothing short of losing stdin/stdout stops a serving loop —
-// except a graceful shutdown: with ServeOptions::handle_signals set,
-// SIGINT/SIGTERM stop the reader, drain in-flight requests, flush the
-// ordered output, and return normally.
+// keeps going. Nothing short of losing the input or the output stops a
+// serving loop (the first failed write stops it at once, so no work is
+// spent on a client that is gone) — except a graceful shutdown: with
+// ServeOptions::handle_signals set, SIGINT/SIGTERM stop the reader, drain
+// in-flight requests, flush the ordered output, and return normally.
 //
 // Both wire schemas are served: single-model requests hit the shared
 // Planner; "tenants" requests co-map a TenantSet on a per-bandwidth
 // CoMapper (tenant/co_mapper.h), with CapabilityError answered as
 // infeasible_capability and require_slos misses as slo_violated.
 //
-// serve_tcp accepts loopback TCP connections and runs the same jsonl loop
-// over each socket, one connection at a time (requests within a connection
-// still fan out across the worker pool). POSIX-only; on other platforms it
-// returns an error.
+// serve_tcp accepts loopback TCP connections and serves each one at once on
+// its own thread, which runs the inline loop (threads = 1) over its socket:
+// a connection's requests run and are answered strictly in order, and a
+// silent or slow client blocks only its own thread. Every connection shares
+// one Planner and its session state, and a counting semaphore lets at most
+// ServeOptions::threads requests do work at once across all of them. Each
+// socket has TCP_NODELAY and an idle timeout; TcpOptions caps how many
+// connections are open at once. POSIX-only; on other platforms it returns
+// an error.
 #pragma once
 
 #include <cstdint>
@@ -36,8 +42,10 @@
 namespace h2h::serve {
 
 struct ServeOptions {
-  /// Worker threads planning concurrently. 1 = plan inline on the reader
-  /// thread (no pool, fully deterministic scheduling).
+  /// Requests worked on at once. serve_jsonl: worker threads planning
+  /// concurrently; 1 = plan inline on the reader thread (no pool, fully
+  /// deterministic scheduling). serve_tcp: the limit across all
+  /// connections, each of which plans inline on its own thread.
   std::size_t threads = 1;
   /// Session-cache configuration of the shared Planner.
   PlannerOptions planner;
@@ -70,6 +78,12 @@ struct TcpOptions {
   std::uint16_t port = 0;
   /// Stop after serving this many connections; 0 = serve forever.
   std::uint64_t max_connections = 0;
+  /// Connections served at once (at least 1). At the cap the listener
+  /// waits for one to close; further connects wait in the kernel backlog.
+  std::size_t max_open_connections = 64;
+  /// A connection that sends nothing, or does not read a response, for
+  /// this many seconds is closed (SO_RCVTIMEO and SO_SNDTIMEO); 0 = never.
+  double idle_timeout_s = 300;
   /// Transient accept failures (ECONNABORTED, EMFILE, ENFILE) are retried
   /// with exponential backoff up to this many consecutive times before the
   /// listener gives up; each retry increments TcpStats::accept_retries.
@@ -79,16 +93,21 @@ struct TcpOptions {
 /// Listener-level counters, reported through the `stats` out-param of
 /// serve_tcp (and summarized on `diag` at shutdown).
 struct TcpStats {
-  std::uint64_t connections = 0;     // connections fully served
+  std::uint64_t connections = 0;     // connections served and closed
   std::uint64_t accept_retries = 0;  // transient accept failures retried
 };
 
 /// Listen and serve. Announces "h2h-serve listening on 127.0.0.1:<port>" on
 /// `diag` once ready. Returns 0 on clean shutdown, 1 on socket errors
 /// (reported on `diag`). A client disconnecting mid-response never kills
-/// the listener (SIGPIPE suppressed, EPIPE handled); transient accept
-/// failures back off and retry per TcpOptions::max_accept_retries. When
-/// `stats` is non-null it receives the listener counters.
+/// the listener (SIGPIPE suppressed, EPIPE handled), and its connection
+/// stops planning at the first failed write; transient accept failures back
+/// off and retry per TcpOptions::max_accept_retries. With max_connections
+/// set, it returns once the last of them has closed. With handle_signals,
+/// SIGINT/SIGTERM stop the accept loop and shut down the read side of every
+/// open socket; each connection answers every line it has read, and the
+/// call returns 0 once all have closed. When `stats` is non-null it
+/// receives the listener counters.
 int serve_tcp(const TcpOptions& options, std::ostream& diag,
               TcpStats* stats = nullptr);
 

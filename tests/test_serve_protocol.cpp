@@ -9,6 +9,7 @@
 #include "serve/json.h"
 #include "serve/protocol.h"
 #include "test_helpers.h"
+#include "util/str.h"
 
 namespace h2h {
 namespace {
@@ -398,6 +399,17 @@ TEST(ServeProtocolTenants, RejectsBadAndUnknownFields) {
             ErrorCode::BadField);
   EXPECT_EQ(code(R"({"schema_version":1,"tenants":[42]})"),
             ErrorCode::BadField);
+  // At most 8 tenants per request; the message names the limit.
+  std::string nine = R"({"schema_version":1,"tenants":[)";
+  for (int i = 0; i < 9; ++i) {
+    if (i > 0) nine += ',';
+    nine += strformat(R"({"name":"t%d","model":"mocap"})", i);
+  }
+  nine += "]}";
+  const WireError too_many = tenants_err(nine);
+  EXPECT_EQ(too_many.code, ErrorCode::BadField);
+  EXPECT_NE(too_many.message.find("at most 8 tenants"), std::string::npos)
+      << too_many.message;
   // Per-tenant fields: strict names, models, values; no typos.
   EXPECT_EQ(code(R"({"schema_version":1,"tenants":[{"model":"mocap"}]})"),
             ErrorCode::BadField);
