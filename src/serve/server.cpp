@@ -30,6 +30,9 @@
 #include <sys/socket.h>
 #include <sys/time.h>
 #include <unistd.h>
+#if defined(__linux__)
+#include <sched.h>
+#endif
 
 #include <cerrno>
 #include <cstring>
@@ -614,6 +617,36 @@ void configure_connection(int fd, double idle_timeout_s) {
   suppress_sigpipe(fd);
 }
 
+/// Moves the calling thread to the `index`-th CPU, round-robin, of its
+/// affinity set, then hands the whole set back, so the scheduler stays free
+/// to move it later. Without it, on a 4-vCPU x86 Linux VM that had idled
+/// for 25 s, the threads of two new connections both started on the accept
+/// thread's CPU and shared it for their first ~200 requests (~0.7 s), which
+/// cut that run's throughput by a quarter. No-op where affinity cannot be
+/// set.
+void start_on_own_cpu(std::uint64_t index) noexcept {
+#if defined(__linux__)
+  cpu_set_t allowed;
+  CPU_ZERO(&allowed);
+  if (::sched_getaffinity(0, sizeof(allowed), &allowed) != 0) return;
+  const auto count = static_cast<std::uint64_t>(CPU_COUNT(&allowed));
+  if (count < 2) return;
+  std::uint64_t skip = index % count;
+  for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
+    if (!CPU_ISSET(cpu, &allowed) || skip-- > 0) continue;
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(cpu, &one);
+    if (::sched_setaffinity(0, sizeof(one), &one) == 0) {
+      ::sched_setaffinity(0, sizeof(allowed), &allowed);
+    }
+    return;
+  }
+#else
+  (void)index;
+#endif
+}
+
 /// The connections serve_tcp has open, one thread each. A thread closes its
 /// socket when its loop ends; the accept loop joins such threads as it
 /// goes, so a server that runs forever does not pile them up.
@@ -630,8 +663,9 @@ class Connections {
   Connections& operator=(const Connections&) = delete;
 
   /// Runs `serve` on a new thread that owns `fd` and closes it when `serve`
-  /// returns. SIGINT and SIGTERM are blocked on that thread, so shutdown
-  /// signals land on the accept thread and interrupt its accept().
+  /// returns; the thread starts on its own CPU (start_on_own_cpu). SIGINT
+  /// and SIGTERM are blocked on that thread, so shutdown signals land on
+  /// the accept thread and interrupt its accept().
   template <class Serve>
   void start(int fd, Serve serve) {
     const std::scoped_lock lock(mu_);
@@ -646,6 +680,7 @@ class Connections {
     ::pthread_sigmask(SIG_BLOCK, &block, &old);
     try {
       c.thread = std::thread([this, id, serve = std::move(serve)]() mutable {
+        start_on_own_cpu(id);
         serve();
         close_connection(id);
       });
