@@ -11,7 +11,11 @@ namespace {
 
 /// Signed human_seconds: negative slack reads "-1.2 ms", not garbage.
 [[nodiscard]] std::string signed_seconds(double s) {
-  if (s < 0) return "-" + human_seconds(-s);
+  if (s < 0) {
+    std::string text = human_seconds(-s);
+    text.insert(0, 1, '-');
+    return text;
+  }
   return human_seconds(s);
 }
 

@@ -170,7 +170,8 @@ struct WireTenantsRequest {
 /// safe; across connections, or on a stdin stream served by a worker pool,
 /// out-of-order hazards are the client's (await each response). Failures are
 /// error responses — "unknown_acc" (acc outside the catalog),
-/// "no_prior_plan" (nothing to repair yet), "bad_field" (contradictory
+/// "no_prior_plan" (no plan for the key yet, or the server's bounded
+/// scenario registry has evicted it since), "bad_field" (contradictory
 /// transitions, e.g. losing an already-lost accelerator), and
 /// "infeasible_repair" (the fault leaves some layer with no feasible
 /// accelerator; the session keeps the pre-fault plan so a later

@@ -6,13 +6,14 @@
 #include <condition_variable>
 #include <deque>
 #include <istream>
+#include <list>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <ostream>
 #include <semaphore>
 #include <thread>
-#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -117,16 +118,127 @@ class Permit {
   std::counting_semaphore<>& permits_;
 };
 
-/// Everything one request needs besides the line itself: the shared Planner
-/// and the name sources write_response reads. Lives across connections so a
-/// reconnecting client still hits warm sessions.
+/// The registry's key: which scenario a request is about. It mirrors the
+/// Planner's session key components (model, batch, topology); a tenants
+/// request has no model and keys on its raw bandwidth alone.
+struct ScenarioKey {
+  std::optional<ZooModel> model;  // empty: a tenants (co-map) scenario
+  std::uint32_t batch = 0;
+  double bw_gbps = 0;
+  std::uint64_t links_fp = 0;  // params fingerprint; 0 = scalar bw
+  [[nodiscard]] friend bool operator==(const ScenarioKey&,
+                                       const ScenarioKey&) = default;
+};
+
+[[nodiscard]] ScenarioKey model_key(ZooModel model, std::uint32_t batch,
+                                    double bw_gbps,
+                                    const std::optional<Interconnect>& links) {
+  return ScenarioKey{model, batch == 0 ? 1u : batch, bw_gbps,
+                     links ? links->params_fingerprint() : 0};
+}
+
+[[nodiscard]] ScenarioKey tenants_key(double bw_gbps) {
+  return ScenarioKey{std::nullopt, 0, bw_gbps, 0};
+}
+
+/// The most recent successful plan for a key — what the first repair of a
+/// chain adopts. Kept apart from the live RepairSession so a fresh plan
+/// request can reset a compounded repair history.
+struct PriorPlan {
+  Mapping mapping;
+  LocalityPlan plan;
+};
+
+/// A live repair chain: an owned model copy (at the session batch) and the
+/// engine compounding fault events against it.
+struct RepairSession {
+  ModelGraph model;
+  RepairEngine engine;
+  RepairSession(ModelGraph m, SystemConfig sys, RepairOptions opts)
+      : model(std::move(m)), engine(model, std::move(sys), std::move(opts)) {}
+};
+
+/// A CoMapper kept warm across tenants requests at one bandwidth (the
+/// member system must outlive the borrowing CoMapper, hence the pairing).
+/// co_map itself is thread-safe.
+struct CoMapSession {
+  SystemConfig sys;
+  CoMapper comapper;
+  explicit CoMapSession(double bw_gbps)
+      : sys(SystemConfig::standard(bw_gbps * 1e9)), comapper(sys) {}
+};
+
+/// What the registry keeps for one scenario: a model scenario's latest plan
+/// and, once a repair adopted it, its live repair chain; a tenants
+/// scenario's co-map session. Shared pointers, so evicting or resetting an
+/// entry while a request still works on its state only drops the
+/// registry's reference.
+struct Scenario {
+  ScenarioKey key;
+  std::shared_ptr<const PriorPlan> prior;
+  std::shared_ptr<RepairSession> repair;
+  std::shared_ptr<CoMapSession> comap;
+};
+
+/// The server's one bounded store of per-scenario state (DESIGN.md §8): a
+/// global least-recently-used list of at most `capacity` entries. Its lock
+/// covers lookup, insert and eviction only; `fn` runs under it and must
+/// only read or swap the entry's pointers.
+class ScenarioRegistry {
+ public:
+  explicit ScenarioRegistry(std::size_t capacity)
+      : capacity_(std::max<std::size_t>(1, capacity)) {}
+
+  /// Calls `fn(Scenario*)` on the entry for `key`, made most recent, or on
+  /// nullptr when the key is not resident.
+  template <class Fn>
+  void find(const ScenarioKey& key, Fn fn) {
+    const std::scoped_lock lock(mu_);
+    fn(touch(key));
+  }
+
+  /// Calls `fn(Scenario&)` on the entry for `key`, inserted empty when
+  /// missing; an insert past the capacity evicts the least recently used
+  /// entry.
+  template <class Fn>
+  void insert(const ScenarioKey& key, Fn fn) {
+    const std::scoped_lock lock(mu_);
+    Scenario* entry = touch(key);
+    if (entry == nullptr) {
+      lru_.push_front(Scenario{key, {}, {}, {}});
+      if (lru_.size() > capacity_) lru_.pop_back();
+      entry = &lru_.front();
+    }
+    fn(*entry);
+  }
+
+ private:
+  /// Caller holds mu_.
+  [[nodiscard]] Scenario* touch(const ScenarioKey& key) {
+    const auto matches = [&key](const Scenario& s) { return s.key == key; };
+    const auto it = std::find_if(lru_.begin(), lru_.end(), matches);
+    if (it == lru_.end()) return nullptr;
+    lru_.splice(lru_.begin(), lru_, it);
+    return &lru_.front();
+  }
+
+  const std::size_t capacity_;
+  std::mutex mu_;
+  std::list<Scenario> lru_;  // most recent first; guarded by mu_
+};
+
+/// Everything one request needs besides the line itself: the shared Planner,
+/// the scenario registry and the name sources write_response reads. Lives
+/// across connections so a reconnecting client still hits warm sessions.
 class RequestProcessor {
  public:
   /// At most `max_in_flight` calls to process() do request work at once;
-  /// the rest wait for a permit.
+  /// the rest wait for a permit. planner_options.max_sessions bounds the
+  /// registry as well as the Planner's session cache.
   RequestProcessor(const PlannerOptions& planner_options,
                    std::size_t max_in_flight)
       : planner_(planner_options),
+        registry_(planner_options.max_sessions),
         name_sys_(SystemConfig::standard(0.5e9)),
         permits_(permit_count(max_in_flight)) {}
 
@@ -174,13 +286,13 @@ class RequestProcessor {
 
   [[nodiscard]] Outcome process_tenants(const WireTenantsRequest& req) {
     try {
-      CoMapSession& session = session_for(req.bw_gbps);
+      const std::shared_ptr<CoMapSession> session = comap_session(req.bw_gbps);
       const TenantSet set(req.tenants);
       CoMapOptions opts;
       opts.plan = req.options;
       opts.max_rounds = req.max_rounds;
       opts.steal_round = req.steal_round;
-      const CoMapResult result = session.comapper.co_map(set, opts);
+      const CoMapResult result = session->comapper.co_map(set, opts);
       if (req.require_slos && !result.all_slos_met) {
         std::string missing;
         for (const TenantOutcome& t : result.tenants) {
@@ -209,53 +321,34 @@ class RequestProcessor {
     }
   }
 
-  /// The repair session key: which live plan a "repair" request repairs.
-  /// Mirrors the Planner's session key components (model, batch, topology).
-  struct RepairKey {
-    ZooModel model = ZooModel::MoCap;
-    std::uint32_t batch = 0;
-    double bw_gbps = 0;
-    std::uint64_t links_fp = 0;  // params fingerprint; 0 = scalar bw
-    [[nodiscard]] friend bool operator<(const RepairKey& a,
-                                        const RepairKey& b) {
-      return std::tie(a.model, a.batch, a.bw_gbps, a.links_fp) <
-             std::tie(b.model, b.batch, b.bw_gbps, b.links_fp);
-    }
-  };
-
-  [[nodiscard]] static RepairKey repair_key(
-      ZooModel model, std::uint32_t batch, double bw_gbps,
-      const std::optional<Interconnect>& links) {
-    return RepairKey{model, batch == 0 ? 1u : batch, bw_gbps,
-                     links ? links->params_fingerprint() : 0};
+  /// The co-map session for a bandwidth, built outside the registry lock
+  /// when the key is not resident (an evicted one rebuilds and answers the
+  /// same bytes). Of two racing builds, the first insert wins.
+  [[nodiscard]] std::shared_ptr<CoMapSession> comap_session(double bw_gbps) {
+    const ScenarioKey key = tenants_key(bw_gbps);
+    std::shared_ptr<CoMapSession> session;
+    registry_.find(key, [&session](const Scenario* s) {
+      if (s != nullptr) session = s->comap;
+    });
+    if (session != nullptr) return session;
+    session = std::make_shared<CoMapSession>(bw_gbps);
+    registry_.insert(key, [&session](Scenario& s) {
+      if (s.comap == nullptr) s.comap = session;
+      session = s.comap;
+    });
+    return session;
   }
 
-  /// The most recent successful plan for a key — what the first repair of a
-  /// session adopts. Kept separate from the live RepairSession so a fresh
-  /// plan request can reset a compounded repair history.
-  struct PriorPlan {
-    Mapping mapping;
-    LocalityPlan plan;
-  };
-
-  /// A live repair session: an owned model copy (at the session batch) and
-  /// the engine compounding fault events against it.
-  struct RepairSession {
-    ModelGraph model;
-    RepairEngine engine;
-    RepairSession(ModelGraph m, SystemConfig sys, RepairOptions opts)
-        : model(std::move(m)),
-          engine(model, std::move(sys), std::move(opts)) {}
-  };
-
   void record_prior(const WireRequest& req, const PlanResponse& response) {
-    const RepairKey key =
-        repair_key(req.model, req.batch, req.bw_gbps, req.links);
-    const std::scoped_lock lock(repair_mu_);
-    priors_.insert_or_assign(key,
-                             PriorPlan{response.mapping, response.plan});
-    // A new plan supersedes any compounded repair state for the key.
-    repairs_.erase(key);
+    const ScenarioKey key =
+        model_key(req.model, req.batch, req.bw_gbps, req.links);
+    auto prior = std::make_shared<const PriorPlan>(
+        PriorPlan{response.mapping, response.plan});
+    registry_.insert(key, [&prior](Scenario& s) {
+      s.prior = std::move(prior);
+      // A new plan supersedes any compounded repair state.
+      s.repair = nullptr;
+    });
   }
 
   [[nodiscard]] Outcome process_repair(const WireRepairRequest& req) {
@@ -268,19 +361,25 @@ class RequestProcessor {
                            req.id}),
               false};
     }
-    const RepairKey key =
-        repair_key(req.model, req.batch, req.bw_gbps, req.links);
+    const ScenarioKey key =
+        model_key(req.model, req.batch, req.bw_gbps, req.links);
     // One lock across the whole repair: sessions compound state, so repairs
     // serialize (plans and co-maps still run concurrently).
     const std::scoped_lock lock(repair_mu_);
     RepairOptions opts;
     opts.plan = req.options;
     opts.fallback_ratio = req.fallback_ratio;
-    std::unique_ptr<RepairSession>& session = repairs_[key];
+    std::shared_ptr<RepairSession> session;
+    std::shared_ptr<const PriorPlan> prior;
+    registry_.find(key, [&](const Scenario* s) {
+      if (s == nullptr) return;
+      session = s->repair;
+      prior = s->prior;
+    });
     if (session == nullptr) {
-      const auto prior = priors_.find(key);
-      if (prior == priors_.end()) {
-        repairs_.erase(key);
+      if (prior == nullptr) {
+        // Never planned here, or evicted since: answered as a fresh server
+        // would.
         return {write_error({ErrorCode::NoPriorPlan,
                              "repair: no prior plan for this model/topology/"
                              "batch on this server — send a plan request "
@@ -293,9 +392,15 @@ class RequestProcessor {
       SystemConfig sys = req.links
                              ? SystemConfig::standard(*req.links)
                              : SystemConfig::standard(req.bw_gbps * 1e9);
-      session = std::make_unique<RepairSession>(std::move(model),
+      session = std::make_shared<RepairSession>(std::move(model),
                                                 std::move(sys), opts);
-      session->engine.adopt(prior->second.mapping, prior->second.plan);
+      session->engine.adopt(prior->mapping, prior->plan);
+      // Start the chain, unless a plan replaced the prior or the key was
+      // evicted meanwhile: then this repair stands alone, as if it had run
+      // before that plan.
+      registry_.find(key, [&](Scenario* s) {
+        if (s != nullptr && s->prior == prior) s->repair = session;
+      });
     } else {
       session->engine.set_options(opts);
     }
@@ -328,33 +433,12 @@ class RequestProcessor {
     return *slot;
   }
 
-  /// One CoMapper per requested bandwidth, kept warm across requests and
-  /// connections (the member system must outlive the borrowing CoMapper,
-  /// hence the pairing). co_map itself is thread-safe; the lock only
-  /// guards session creation.
-  struct CoMapSession {
-    SystemConfig sys;
-    CoMapper comapper;
-    explicit CoMapSession(double bw_gbps)
-        : sys(SystemConfig::standard(bw_gbps * 1e9)), comapper(sys) {}
-  };
-
-  [[nodiscard]] CoMapSession& session_for(double bw_gbps) {
-    const std::scoped_lock lock(comap_mu_);
-    std::unique_ptr<CoMapSession>& slot = comap_[bw_gbps];
-    if (slot == nullptr) slot = std::make_unique<CoMapSession>(bw_gbps);
-    return *slot;
-  }
-
   Planner planner_;
+  ScenarioRegistry registry_;
   SystemConfig name_sys_;  // accelerator names only; BW value irrelevant
   std::mutex models_mu_;
   std::map<ZooModel, std::unique_ptr<const ModelGraph>> models_;
-  std::mutex comap_mu_;
-  std::map<double, std::unique_ptr<CoMapSession>> comap_;
-  std::mutex repair_mu_;
-  std::map<RepairKey, PriorPlan> priors_;
-  std::map<RepairKey, std::unique_ptr<RepairSession>> repairs_;
+  std::mutex repair_mu_;  // serializes repairs only
   std::counting_semaphore<> permits_;
 };
 

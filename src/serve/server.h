@@ -17,10 +17,14 @@
 // ServeOptions::handle_signals set, SIGINT/SIGTERM stop the reader, drain
 // in-flight requests, flush the ordered output, and return normally.
 //
-// Both wire schemas are served: single-model requests hit the shared
-// Planner; "tenants" requests co-map a TenantSet on a per-bandwidth
-// CoMapper (tenant/co_mapper.h), with CapabilityError answered as
-// infeasible_capability and require_slos misses as slo_violated.
+// Every wire schema is served: single-model requests hit the shared
+// Planner; "tenants" requests co-map a TenantSet on a CoMapper
+// (tenant/co_mapper.h) kept warm for their bandwidth, with CapabilityError
+// answered as infeasible_capability and require_slos misses as
+// slo_violated; "repair" requests repair the last plan served for their
+// scenario key. Co-map sessions, prior plans and repair chains live in one
+// least-recently-used scenario registry, bounded like the Planner's session
+// cache, so the server's memory does not grow with the keys clients send.
 //
 // serve_tcp accepts loopback TCP connections and serves each one at once on
 // its own thread, which runs the inline loop (threads = 1) over its socket:
@@ -47,7 +51,10 @@ struct ServeOptions {
   /// deterministic scheduling). serve_tcp: the limit across all
   /// connections, each of which plans inline on its own thread.
   std::size_t threads = 1;
-  /// Session-cache configuration of the shared Planner.
+  /// Session-cache configuration of the shared Planner. Its max_sessions
+  /// also bounds the scenario registry (DESIGN.md §8): the co-map sessions,
+  /// prior plans and repair chains kept between requests. A repair whose
+  /// scenario was evicted answers no_prior_plan.
   PlannerOptions planner;
   /// Requests longer than this are answered with parse_error (guards the
   /// line buffer against unbounded input).

@@ -139,7 +139,9 @@ TEST(ServeJson, SurrogatePairsDecodeToUtf8) {
       Object obj;
       const std::size_t n = static_cast<std::size_t>(rng.uniform_int(0, 4));
       for (std::size_t i = 0; i < n; ++i) {
-        obj.set("k" + std::to_string(i), random_value(rng, depth + 1));
+        std::string key = std::to_string(i);
+        key.insert(0, 1, 'k');
+        obj.set(std::move(key), random_value(rng, depth + 1));
       }
       return Value(std::move(obj));
     }

@@ -1,6 +1,7 @@
 // End-to-end serve loop (serve/server.h): jsonl in, jsonl out, errors
 // answered in-band, multi-threaded output identical to single-threaded,
-// tenants requests sharing the loop, and graceful shutdown on signals.
+// tenants requests sharing the loop, the bounded scenario registry's
+// eviction, and graceful shutdown on signals.
 // The ServeTcp family covers serve_tcp's thread per connection: a silent
 // or non-reading client stalls nobody, the connection cap, the idle
 // timeout, and the signal drain.
@@ -52,6 +53,35 @@ namespace {
       R"("options":{"time_budget_s":%g},"emit":{"timing":false}})",
       model.c_str(), bw_gbps, testing::search_time_budget());
   return line;
+}
+
+/// A repair request against the scenario request_line(model, bw_gbps)
+/// plans.
+[[nodiscard]] std::string repair_line(const std::string& model, double bw_gbps,
+                                      const std::string& id,
+                                      const std::string& event, unsigned acc) {
+  return strformat(
+      R"({"schema_version":1,"id":"%s","model":"%s","bw_gbps":%g,)"
+      R"("repair":{"event":"%s","acc":%u},)"
+      R"("options":{"time_budget_s":%g},"emit":{"timing":false}})",
+      id.c_str(), model.c_str(), bw_gbps, event.c_str(), acc,
+      testing::search_time_budget());
+}
+
+/// A small two-tenant co-mapping at `bw_gbps`, cheap enough for TSan.
+[[nodiscard]] std::string tenants_line(double bw_gbps, const std::string& id) {
+  return strformat(
+      R"({"schema_version":1,"id":"%s","tenants":[)"
+      R"({"name":"a","model":"mocap","slo_s":0.5},)"
+      R"({"name":"b","model":"cnn-lstm"}],"bw_gbps":%g,)"
+      R"("options":{"time_budget_s":%g},"max_rounds":1})",
+      id.c_str(), bw_gbps, testing::search_time_budget());
+}
+
+[[nodiscard]] bool all_ok(const std::vector<std::string>& lines) {
+  return std::all_of(lines.begin(), lines.end(), [](const std::string& l) {
+    return l.find(R"("ok":true)") != std::string::npos;
+  });
 }
 
 [[nodiscard]] std::vector<std::string> run_serve(
@@ -169,6 +199,76 @@ TEST(ServePipeline, TenantsRequestsShareTheLoopDeterministically) {
   serve::ServeOptions pooled;
   pooled.threads = 4;
   EXPECT_EQ(lines, run_serve(input, pooled));
+}
+
+TEST(ServePipeline, RegistryEvictsTheLeastRecentScenario) {
+  // Capacity 2: plans for A, B and C leave B and C resident, so A's repair
+  // finds nothing to repair, as on a fresh server, while C's chain still
+  // works; a fresh plan for A brings its scenario back.
+  serve::ServeOptions options;
+  options.planner.max_sessions = 2;
+  std::string input;
+  input += request_line("mocap", 0.5, "planA") + "\n";
+  input += request_line("mocap", 0.25, "planB") + "\n";
+  input += request_line("mocap", 0.125, "planC") + "\n";
+  input += repair_line("mocap", 0.5, "repairA", "acc_lost", 0) + "\n";
+  input += repair_line("mocap", 0.125, "repairC", "acc_lost", 0) + "\n";
+  input += request_line("mocap", 0.5, "replanA") + "\n";
+  input += repair_line("mocap", 0.5, "repairA2", "acc_lost", 0) + "\n";
+  const std::vector<std::string> lines = run_serve(input, options);
+  ASSERT_EQ(lines.size(), 7u);
+  EXPECT_TRUE(all_ok({lines[0], lines[1], lines[2]}));
+  EXPECT_NE(lines[3].find(R"("id":"repairA")"), std::string::npos);
+  EXPECT_NE(lines[3].find(R"("ok":false)"), std::string::npos);
+  EXPECT_NE(lines[3].find("no_prior_plan"), std::string::npos);
+  EXPECT_TRUE(all_ok({lines[4], lines[5], lines[6]}));
+  EXPECT_NE(lines[6].find(R"("outcome":"repaired")"), std::string::npos);
+}
+
+TEST(ServePipeline, RegistryEvictionIsInvisibleWhileKeysStayResident) {
+  // Repair chains run back to back, with plans and tenants requests at
+  // three bandwidths between them: at capacity 1 every chain stays
+  // resident while it runs, co-map sessions rebuild after each eviction,
+  // and the bytes match the default capacity, which evicts nothing here.
+  std::string input;
+  const double bws[] = {0.5, 0.25, 0.125};
+  for (int round = 0; round < 2; ++round) {
+    for (const double bw : bws) {
+      const std::string tag = strformat("%d_%g", round, bw);
+      input += request_line("mocap", bw, "p" + tag) + "\n";
+      input += repair_line("mocap", bw, "lost" + tag, "acc_lost", 0) + "\n";
+      input += repair_line("mocap", bw, "back" + tag, "acc_returned", 0) + "\n";
+      input += request_line("cnn-lstm", bw, "q" + tag) + "\n";
+      input += tenants_line(bw, "t" + tag) + "\n";
+    }
+  }
+  serve::ServeOptions tight;
+  tight.planner.max_sessions = 1;
+  const std::vector<std::string> want = run_serve(input, {});
+  ASSERT_EQ(want.size(), 30u);
+  EXPECT_TRUE(all_ok(want));
+  EXPECT_EQ(run_serve(input, tight), want);
+}
+
+TEST(ServePipeline, EvictingACoMapSessionInUseIsSafe) {
+  // Four workers, room for one scenario, tenants bandwidths alternating:
+  // co-map sessions are evicted while other workers still co-map on them.
+  // Every line is answered, with the bytes of the serial run.
+  std::string input;
+  for (int i = 0; i < 12; ++i) {
+    input += tenants_line(i % 2 == 0 ? 0.5 : 0.25, strformat("t%d", i)) + "\n";
+  }
+  serve::ServeOptions serial;
+  serial.planner.max_sessions = 1;
+  serve::ServeOptions pooled = serial;
+  pooled.threads = 4;
+  serve::ServeStats stats;
+  const std::vector<std::string> want = run_serve(input, serial);
+  const std::vector<std::string> got = run_serve(input, pooled, &stats);
+  ASSERT_EQ(got.size(), 12u);
+  EXPECT_EQ(stats.ok, 12u);
+  EXPECT_TRUE(all_ok(got));
+  EXPECT_EQ(got, want);
 }
 
 #if H2H_TEST_HAS_SIGNALS
