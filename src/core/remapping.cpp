@@ -103,6 +103,12 @@ RemapStats data_locality_remapping(const Simulator& sim, Mapping& mapping,
   double best_metric = options.objective == RemapObjective::Latency
                            ? inc.latency()
                            : inc.latency() * inc.energy(mapping).total();
+  // Under the Latency objective a probe may stop at the committed critical
+  // chain: it returns +infinity only when its makespan is >= the committed
+  // one (== best_metric >= best_candidate), which a non-negative epsilon
+  // rejects anyway. EDP needs the whole overlay for probe_energy.
+  const bool cut_probes = options.objective == RemapObjective::Latency &&
+                          options.epsilon >= 0.0;
 
   // Visit layers in execution order each pass.
   std::vector<LayerId> order = model.all_layers();
@@ -147,7 +153,8 @@ RemapStats data_locality_remapping(const Simulator& sim, Mapping& mapping,
         delta.begin_probe(src, dst);
 
         run_steps23(node, src, dst);
-        const double lat = inc.probe_remap(mapping, plan, node, src, dirty);
+        const double lat =
+            inc.probe_remap(mapping, plan, node, src, dirty, cut_probes);
         const double metric = options.objective == RemapObjective::Latency
                                   ? lat
                                   : lat * inc.probe_energy(mapping).total();

@@ -14,8 +14,11 @@
 // IncrementalSchedule's overlay probe, which leaves the committed schedule
 // untouched. A rejected candidate therefore costs no deep copies, no
 // schedule journal, and no queue surgery (the paper's sub-second search
-// times depend on this; see bench_ablation_remap_probe). The tests check
-// this loop against a copy-and-resimulate reference search bit for bit.
+// times depend on this; see bench_ablation_remap_probe). Under the Latency
+// objective a probe also stops its retime sweep at the committed critical
+// chain once the makespan provably cannot shrink, which changes no decision
+// (DESIGN.md §6). The tests check this loop against a copy-and-resimulate
+// reference search bit for bit.
 #pragma once
 
 #include <chrono>
@@ -58,7 +61,9 @@ struct RemapStats {
   std::uint32_t attempts = 0;
   std::uint32_t accepted = 0;
   /// Node re-timings the incremental schedule performed across all probes
-  /// — the bench's work accounting.
+  /// and accepted moves — the bench's work accounting. A probe the
+  /// critical-chain cut stops counts only the visits made before the cut,
+  /// so readings from before the cut and after it do not compare.
   std::uint64_t retimes = 0;
   /// Knapsack-cache accounting: solver runs avoided / paid on the delta
   /// path's full-pass fallbacks (the source-accelerator instance repeats

@@ -1,6 +1,7 @@
 #include "system/incremental.h"
 
 #include <algorithm>
+#include <limits>
 
 namespace h2h {
 
@@ -40,6 +41,8 @@ void IncrementalSchedule::reset(const Mapping& m, const LocalityPlan& plan) {
   // counter skips the sentinel on wrap-around for the same reason).
   ov_stamp_.assign(model.layer_count(), kOverlaySentinel);
   probe_epoch_ = 0;
+  probe_cut_ = false;
+  chain_stale_ = true;
 
   // Sequence numbers of a complete mapping are dense in [0, V) and never
   // change after assignment (reassign keeps them); cache them flat and
@@ -165,6 +168,7 @@ void IncrementalSchedule::refresh_components(const Mapping& m,
   begin_retime();
   for (const LayerId id : dirty) refresh_one(m, plan, id);
   retime();
+  chain_stale_ = true;
 }
 
 LayerId IncrementalSchedule::relocate(const Mapping& m, LayerId node,
@@ -197,29 +201,6 @@ LayerId IncrementalSchedule::relocate(const Mapping& m, LayerId node,
 
 void IncrementalSchedule::apply_remap(const Mapping& m,
                                       const LocalityPlan& plan, LayerId node,
-                                      AccId old_acc) {
-  const AccId new_acc = m.acc_of(node);
-  (void)relocate(m, node, old_acc);
-
-  // Every layer on either accelerator may have changed transfer components
-  // (the locality passes redistribute pins and fusion there). Refreshing
-  // both queues also seeds the retime with the node itself and both queue
-  // followers, which covers the displaced FIFO slots.
-  begin_retime();
-  for (const LayerId id : queues_[old_acc.value]) refresh_one(m, plan, id);
-  for (const LayerId id : queues_[new_acc.value]) refresh_one(m, plan, id);
-  // Non-uniform topology: an unfused successor on a third accelerator reads
-  // its in-edge from the node over a different link now — its components
-  // changed even though its own placement did not. Gated so the uniform
-  // path keeps the exact legacy refresh set (and retime counts).
-  if (!sim_->costs().uniform_links())
-    for (const LayerId s : sim_->model().graph().succs(node))
-      refresh_one(m, plan, s);
-  retime();
-}
-
-void IncrementalSchedule::apply_remap(const Mapping& m,
-                                      const LocalityPlan& plan, LayerId node,
                                       AccId old_acc,
                                       std::span<const LayerId> dirty) {
   const LayerId old_follower = relocate(m, node, old_acc);
@@ -231,6 +212,7 @@ void IncrementalSchedule::apply_remap(const Mapping& m,
   enqueue(old_follower);
   enqueue(queue_next(node));
   retime();
+  chain_stale_ = true;
 }
 
 LayerTiming& IncrementalSchedule::overlay(LayerId id) {
@@ -282,6 +264,7 @@ void IncrementalSchedule::probe_refresh(const Mapping& m,
   // Mirrors refresh_one, writing the overlay instead of the journaled state.
   if (refreshed_stamp_[id.value] == stamp_) return;  // already this batch
   refreshed_stamp_[id.value] = stamp_;
+  probe_refreshed_max_ = std::max(probe_refreshed_max_, seq_[id.value]);
   LayerTiming& t = overlay(id);
   const LayerTiming fresh = sim_->layer_components(id, m, plan);
   t.t_in = fresh.t_in;
@@ -295,13 +278,28 @@ void IncrementalSchedule::probe_refresh(const Mapping& m,
   enqueue(id);
 }
 
-void IncrementalSchedule::probe_retime() {
+bool IncrementalSchedule::probe_retime(bool cut) {
   const ModelGraph& model = sim_->model();
+  // The anchors: chain layers past every refreshed layer. Without the cut
+  // the cursor starts past the chain and the sweep runs to the end.
+  std::size_t anchor = chain_.size();
+  if (cut)
+    anchor = static_cast<std::size_t>(
+        std::upper_bound(chain_.begin(), chain_.end(), probe_refreshed_max_) -
+        chain_.begin());
   // Mirrors retime() — same sweep, same seeds, same comparisons — against
   // the overlay view, so the probe's arithmetic is bit-identical to
   // applying the move (pinned by the property tests).
   for (std::uint32_t s = sweep_min_; s <= sweep_max_; ++s) {
     if (pending_stamp_[s] != stamp_) continue;
+    // An anchor behind the cursor is final. If it does not finish earlier
+    // than committed, neither does any chain layer after it (same
+    // durations, same chain edges, monotone max and +), so the makespan
+    // cannot shrink: stop.
+    for (; anchor < chain_.size() && chain_[anchor] < s; ++anchor) {
+      const LayerId c = by_seq_[chain_[anchor]];
+      if (!(cur(c).finish < timings_[c.value].finish)) return true;
+    }
     const LayerId id = by_seq_[s];
     ++retimes_;
 
@@ -320,12 +318,46 @@ void IncrementalSchedule::probe_retime() {
     for (const LayerId y : model.graph().succs(id)) enqueue(y);
     enqueue(eff_queue_next(id));
   }
+  return false;
+}
+
+void IncrementalSchedule::rebuild_chain() {
+  chain_.clear();
+  chain_stale_ = false;
+  LayerId x{};
+  for (const auto& q : queues_) {
+    if (q.empty()) continue;
+    const LayerId tail = q.back();
+    if (!x.valid() || timings_[tail.value].finish > timings_[x.value].finish)
+      x = tail;
+  }
+  // start = max(ready, free) exactly, so some queue or graph predecessor's
+  // finish equals a started layer's start; the walk ends at a start of 0 or
+  // where that predecessor is a host input.
+  while (x.valid()) {
+    chain_.push_back(seq_[x.value]);
+    const double start = timings_[x.value].start;
+    if (start == 0.0) break;
+    LayerId next = queue_prev(x);
+    if (!next.valid() || timings_[next.value].finish != start) {
+      next = LayerId{};
+      for (const LayerId p : sim_->model().graph().preds(x)) {
+        if (!acc_[p.value].is_host() && timings_[p.value].finish == start) {
+          next = p;
+          break;
+        }
+      }
+    }
+    x = next;
+  }
+  std::reverse(chain_.begin(), chain_.end());
 }
 
 double IncrementalSchedule::probe_remap(const Mapping& m,
                                         const LocalityPlan& plan, LayerId node,
                                         AccId old_acc,
-                                        std::span<const LayerId> dirty) {
+                                        std::span<const LayerId> dirty,
+                                        bool cut) {
   const AccId new_acc = m.acc_of(node);
   H2H_EXPECTS(!old_acc.is_host() && old_acc.value < queues_.size());
   H2H_EXPECTS(new_acc != old_acc && !new_acc.is_host());
@@ -354,11 +386,14 @@ double IncrementalSchedule::probe_remap(const Mapping& m,
   // Same seeds as apply_remap: the node, the explicit dirty set, and the
   // two displaced FIFO followers.
   begin_retime();
+  probe_refreshed_max_ = 0;
   probe_refresh(m, plan, node);
   for (const LayerId id : dirty) probe_refresh(m, plan, id);
   enqueue(queue_next(node));      // old queue's follower (node still listed)
   enqueue(eff_queue_next(node));  // new queue's follower
-  probe_retime();
+  if (cut && chain_stale_) rebuild_chain();
+  probe_cut_ = probe_retime(cut);
+  if (probe_cut_) return std::numeric_limits<double>::infinity();
 
   // Makespan: per-queue finishes stay monotone, so only the last effective
   // element of each queue matters; the moved node shifts at most which
@@ -377,6 +412,7 @@ double IncrementalSchedule::probe_remap(const Mapping& m,
 }
 
 EnergyBreakdown IncrementalSchedule::probe_energy(const Mapping& m) const {
+  H2H_EXPECTS(!probe_cut_);  // a cut probe leaves the overlay partial
   const ModelGraph& model = sim_->model();
   EnergyBreakdown e;
   double latency = 0.0;
@@ -422,6 +458,7 @@ void IncrementalSchedule::rollback_journal() {
   journal_timings_.clear();
   journal_moves_.clear();
   journaling_ = false;
+  chain_stale_ = true;
 }
 
 void IncrementalSchedule::commit_journal() {

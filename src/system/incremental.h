@@ -3,7 +3,7 @@
 // The paper stresses that after a locality or remapping change "we only
 // update a node's direct successor neighbours without traversing the entire
 // graph". This class keeps per-accelerator FIFO queues and per-layer timing,
-// and re-times only the affected cone: a worklist ordered by execution
+// and re-times only the affected cone: a forward sweep in execution
 // sequence propagates through graph successors and queue followers, stopping
 // wherever a finish time is unchanged.
 //
@@ -11,8 +11,15 @@
 // moves per pass. Instead of deep-copying the schedule per candidate, an
 // apply/undo journal records every touched timing and queue move while open
 // (begin_journal) and rolls them back in O(touched) (rollback_journal). The
-// journal buffers, the retime heap, and the dedup stamps are all reused
-// members, so steady-state candidate evaluation allocates nothing here.
+// journal buffers, the seq-indexed retime stamps, and the dedup stamps are
+// all reused members, so steady-state candidate evaluation allocates nothing
+// here.
+//
+// Critical-chain cut: the class also keeps one critical chain of the
+// committed schedule, rebuilt lazily after a committed change. A probe that
+// asks for the cut stops its sweep at the first chain layer beyond every
+// refreshed layer that does not finish earlier, since from there on the
+// makespan cannot shrink (see probe_remap and DESIGN.md §6).
 //
 // Equivalence with Simulator::simulate is asserted in tests (the step-4
 // reference search re-simulates every probe from scratch).
@@ -41,18 +48,13 @@ class IncrementalSchedule {
                           std::span<const LayerId> dirty);
 
   /// `node` was re-assigned (Mapping::reassign already applied) from
-  /// `old_acc` to its new accelerator. Moves it between the FIFO queues,
-  /// re-reads the transfer components of every layer on both accelerators
-  /// from `plan` (pins and fusion may have been redistributed there), and
-  /// re-times the affected cone.
-  void apply_remap(const Mapping& m, const LocalityPlan& plan, LayerId node,
-                   AccId old_acc);
-
-  /// Targeted variant for the step-4 probe loop: `dirty` lists exactly the
-  /// layers whose transfer components may have changed (typically
-  /// LocalityPlan::journal_touched_layers). Only those components are
-  /// re-read; the displaced queue followers are re-timed regardless. The
-  /// moved node is always refreshed and need not appear in `dirty`.
+  /// `old_acc` to its new accelerator. Moves it between the FIFO queues and
+  /// re-times the affected cone. `dirty` lists exactly the layers whose
+  /// transfer components may have changed (typically
+  /// LocalityPlan::journal_touched_layers, plus the node's successors on
+  /// non-uniform links). Only those components are re-read; the displaced
+  /// queue followers are re-timed regardless. The moved node is always
+  /// refreshed and need not appear in `dirty`.
   void apply_remap(const Mapping& m, const LocalityPlan& plan, LayerId node,
                    AccId old_acc, std::span<const LayerId> dirty);
 
@@ -66,13 +68,24 @@ class IncrementalSchedule {
   /// returned makespan is bit-identical to applying and reading latency();
   /// a rejected candidate then costs no schedule journal, no queue moves,
   /// and no rollback (the step-4 loop's common case).
+  ///
+  /// With `cut` set, the sweep may stop early and return +infinity instead:
+  /// it does so at the first committed critical-chain layer beyond every
+  /// refreshed layer (the anchors) that does not finish earlier in the
+  /// probe. Anchors keep their durations and chain edges, so no later chain
+  /// layer finishes earlier either and the probed makespan is >= latency().
+  /// +infinity therefore means "not shorter than the committed makespan";
+  /// any finite return is the exact makespan, as without the cut. After a
+  /// cut the overlay is partial, so probe_energy may not be called.
   [[nodiscard]] double probe_remap(const Mapping& m, const LocalityPlan& plan,
                                    LayerId node, AccId old_acc,
-                                   std::span<const LayerId> dirty);
+                                   std::span<const LayerId> dirty,
+                                   bool cut = false);
 
   /// Energy of the overlay state left by the last probe_remap (same
   /// accumulation order as energy(), overlay-patched timings). Valid until
-  /// the next probe_remap/apply/reset.
+  /// the next probe_remap/apply/reset, and only after a probe that was not
+  /// cut.
   [[nodiscard]] EnergyBreakdown probe_energy(const Mapping& m) const;
 
   /// Start recording timing and queue changes. One journal at a time.
@@ -103,7 +116,8 @@ class IncrementalSchedule {
   [[nodiscard]] EnergyBreakdown energy(const Mapping& m) const;
 
   /// Number of node re-timings performed since construction (for the
-  /// ablation bench's work accounting).
+  /// ablation bench's work accounting). A cut probe counts only the visits
+  /// made before the cut.
   [[nodiscard]] std::uint64_t retime_count() const noexcept { return retimes_; }
 
  private:
@@ -129,7 +143,9 @@ class IncrementalSchedule {
   [[nodiscard]] LayerId eff_queue_prev(LayerId id) const;
   [[nodiscard]] LayerId eff_queue_next(LayerId id) const;
   void probe_refresh(const Mapping& m, const LocalityPlan& plan, LayerId id);
-  void probe_retime();
+  /// Returns true when the sweep stopped at an anchor (see probe_remap).
+  bool probe_retime(bool cut);
+  void rebuild_chain();
 
   const Simulator* sim_;
   std::vector<LayerTiming> timings_;
@@ -165,6 +181,15 @@ class IncrementalSchedule {
   std::uint32_t probe_ins_ = 0;
   LayerId probe_old_prev_;
   LayerId probe_old_next_;
+  std::uint32_t probe_refreshed_max_ = 0;  // largest seq probe_refresh saw
+  bool probe_cut_ = false;                 // the last probe stopped early
+
+  // One critical chain of the committed schedule as ascending seqs: from the
+  // latest-finishing queue tail back through queue or graph predecessors
+  // whose finish equals the layer's start. Every committed change marks it
+  // stale; the next cutting probe rebuilds it.
+  std::vector<std::uint32_t> chain_;
+  bool chain_stale_ = true;
 
   // Journal. Timings are saved once per (journal, node) via an epoch stamp;
   // queue moves record enough to reverse the surgery exactly.

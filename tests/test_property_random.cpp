@@ -5,6 +5,10 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <span>
 
 #include "core/remap_delta.h"
 #include "system/incremental.h"
@@ -14,6 +18,46 @@ namespace h2h {
 namespace {
 
 class PipelineProperty : public ::testing::TestWithParam<std::uint64_t> {};
+
+constexpr std::uint64_t kLastSeed = 25;
+
+struct CutTally {
+  std::uint64_t cut = 0;            // probes the cut stopped
+  std::uint64_t shorter_uncut = 0;  // uncut probes below the committed makespan
+};
+
+// Probes the move that `mapping`, `plan` and `dirty` hold, first with the
+// full sweep and then with the critical-chain cut, and returns the full
+// makespan. The cut returns +infinity only when that makespan is not below
+// the committed one, and then after fewer visits and with the partial
+// overlay closed to probe_energy; otherwise it returns the same value bit
+// for bit after the same visits.
+double probe_with_and_without_cut(IncrementalSchedule& inc,
+                                  const Mapping& mapping,
+                                  const LocalityPlan& plan, LayerId node,
+                                  AccId src, std::span<const LayerId> dirty,
+                                  CutTally& tally) {
+  const double committed = inc.latency();
+  const std::uint64_t v0 = inc.retime_count();
+  const double full = inc.probe_remap(mapping, plan, node, src, dirty);
+  const std::uint64_t v1 = inc.retime_count();
+  const double cut =
+      inc.probe_remap(mapping, plan, node, src, dirty, /*cut=*/true);
+  const std::uint64_t v2 = inc.retime_count();
+  if (std::isinf(cut)) {
+    EXPECT_GE(full, committed);
+    EXPECT_LT(v2 - v1, v1 - v0);
+    EXPECT_THROW((void)inc.probe_energy(mapping), ContractViolation);
+    ++tally.cut;
+  } else {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(cut),
+              std::bit_cast<std::uint64_t>(full));
+    EXPECT_EQ(v2 - v1, v1 - v0);
+    if (cut < committed) ++tally.shorter_uncut;
+  }
+  EXPECT_EQ(inc.latency(), committed);
+  return full;
+}
 
 TEST_P(PipelineProperty, InvariantsHoldOnRandomInstances) {
   Rng rng(GetParam());
@@ -204,7 +248,9 @@ TEST_P(PipelineProperty, JournaledProbesAgreeWithFullSimulationAtEveryStep) {
 // delta steps-2/3, overlay schedule probe — with rollbacks, commits, and
 // out-of-band pin/fuse toggles must stay bit-identical to the from-scratch
 // full passes, and the delta aggregates must always equal a fresh
-// re-derivation from the live state.
+// re-derivation from the live state. Every schedule probe is repeated with
+// the critical-chain cut, which may only turn a makespan that is not below
+// the committed one into +infinity.
 TEST_P(PipelineProperty, DeltaProbesMatchFullPassesAndMemberLists) {
   Rng rng(GetParam() + 3000);
   const ModelGraph model = testing::make_random_model(rng);
@@ -251,6 +297,7 @@ TEST_P(PipelineProperty, DeltaProbesMatchFullPassesAndMemberLists) {
   };
 
   std::vector<LayerId> dirty;
+  CutTally tally;
   for (int step = 0; step < 25; ++step) {
     switch (rng.index(4)) {
       case 0:
@@ -296,7 +343,8 @@ TEST_P(PipelineProperty, DeltaProbesMatchFullPassesAndMemberLists) {
         const double latency_before = inc.latency();
         dirty.clear();
         plan.journal_touched_layers(model, dirty);
-        const double probed = inc.probe_remap(mapping, plan, node, src, dirty);
+        const double probed = probe_with_and_without_cut(
+            inc, mapping, plan, node, src, dirty, tally);
         ASSERT_DOUBLE_EQ(probed, sim.simulate(mapping, plan).latency)
             << "step " << step;
         ASSERT_DOUBLE_EQ(inc.latency(), latency_before) << "step " << step;
@@ -347,6 +395,39 @@ TEST_P(PipelineProperty, DeltaProbesMatchFullPassesAndMemberLists) {
   // Whatever mix happened, the tracked schedule still matches a full
   // re-simulation bit for bit.
   ASSERT_DOUBLE_EQ(inc.latency(), sim.simulate(mapping, plan).latency);
+
+  // Every single move from the final state, probed with and without the cut.
+  for (const LayerId node : layers) {
+    if (model.layer(node).kind == LayerKind::Input) continue;
+    const AccId src = mapping.acc_of(node);
+    for (const AccId dst : sys.supporting(model.layer(node).kind)) {
+      if (dst == src) continue;
+      mapping.begin_journal();
+      plan.begin_journal();
+      delta.begin_probe(src, dst);
+      mapping.reassign(node, dst);
+      delta.apply_move(mapping, plan, node, src, dst);
+      dirty.clear();
+      plan.journal_touched_layers(model, dirty);
+      (void)probe_with_and_without_cut(inc, mapping, plan, node, src, dirty,
+                                       tally);
+      delta.rollback_probe();
+      plan.rollback_journal();
+      mapping.rollback_journal();
+    }
+  }
+
+  // Neither branch of the cut check may go untested. Every seed sees an
+  // uncut probe that shortens the makespan. A cut needs a chain layer beyond
+  // every refreshed layer, which the smallest random models never offer, so
+  // cuts are counted over the seeds this process ran (ctest runs each seed
+  // alone) and checked once, by the last seed.
+  EXPECT_GT(tally.shorter_uncut, 0u);
+  static std::uint64_t cut_probes_all_seeds = 0;
+  cut_probes_all_seeds += tally.cut;
+  if (GetParam() == kLastSeed) {
+    EXPECT_GT(cut_probes_all_seeds, 0u);
+  }
 }
 
 // Both search steps against their reference implementations on random
@@ -383,7 +464,7 @@ TEST_P(PipelineProperty, RemapMatchesReferenceSearch) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PipelineProperty,
-                         ::testing::Range<std::uint64_t>(1, 26));
+                         ::testing::Range<std::uint64_t>(1, kLastSeed + 1));
 
 }  // namespace
 }  // namespace h2h

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <string>
 #include <utility>
 
 #include "core/comp_prioritized.h"
@@ -117,6 +118,49 @@ TEST(Remapping, KnapsackCacheReusesSourceSolvesUnderPressure) {
     }
   }
   EXPECT_GT(zoo_hits, 0u);
+}
+
+// Work counters of the step-4 loop on the 12 uniform-fixture cells (zoo x
+// {Low-, Mid}, the cells ci/uniform_fixtures pins byte for byte). attempts
+// and accepted are the search's decisions, which the critical-chain cut in
+// the probes leaves unchanged. retimes counts schedule visits, and the cut
+// keeps it low: without it vlocnet @ Low- reads 150,452, not 35,208. A change
+// that stops the cut from firing passes every exactness pin but fails here.
+TEST(Remapping, WorkCountersOnUniformFixtureCells) {
+  struct Cell {
+    ZooModel model;
+    BandwidthSetting bw;
+    std::uint32_t attempts;
+    std::uint32_t accepted;
+    std::uint64_t retimes;
+  };
+  constexpr BandwidthSetting kLowMinus = BandwidthSetting::LowMinus;
+  constexpr BandwidthSetting kMid = BandwidthSetting::Mid;
+  const Cell cells[] = {
+      {ZooModel::VLocNet, kLowMinus, 1632, 94, 35208},
+      {ZooModel::VLocNet, kMid, 2516, 105, 41751},
+      {ZooModel::CasiaSurf, kLowMinus, 508, 46, 5524},
+      {ZooModel::CasiaSurf, kMid, 316, 20, 2632},
+      {ZooModel::Vfs, kLowMinus, 80, 2, 605},
+      {ZooModel::Vfs, kMid, 80, 2, 605},
+      {ZooModel::FaceBag, kLowMinus, 729, 43, 7212},
+      {ZooModel::FaceBag, kMid, 512, 41, 5819},
+      {ZooModel::CnnLstm, kLowMinus, 28, 7, 175},
+      {ZooModel::CnnLstm, kMid, 27, 6, 172},
+      {ZooModel::MoCap, kLowMinus, 40, 8, 265},
+      {ZooModel::MoCap, kMid, 26, 5, 166},
+  };
+  for (const Cell& c : cells) {
+    Prepared p = prepare(make_model(c.model), SystemConfig::standard(c.bw));
+    const Simulator sim(p.model, p.sys);
+    const RemapStats stats = data_locality_remapping(sim, p.mapping, p.plan);
+    const std::string cell = strformat(
+        "%s @ %s", std::string(zoo_info(c.model).key).c_str(),
+        std::string(to_string(c.bw)).c_str());
+    EXPECT_EQ(stats.attempts, c.attempts) << cell;
+    EXPECT_EQ(stats.accepted, c.accepted) << cell;
+    EXPECT_EQ(stats.retimes, c.retimes) << cell;
+  }
 }
 
 TEST(Remapping, ReducesHostTrafficAtLowBandwidth) {
