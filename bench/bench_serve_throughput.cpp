@@ -1,5 +1,5 @@
 // Serve-path throughput: requests/second and per-request service latency
-// (p50/p99) for the wire pipeline — parse_request -> Planner::plan ->
+// (p50/p99) for the wire pipeline — parse_any_request -> Planner::plan ->
 // write_response, exactly what `h2h serve` does per jsonl line — under
 // cold, warm, and mixed request mixes at 1/2/4 worker threads. Numbers are
 // recorded in bench/README.md.
@@ -88,7 +88,7 @@ struct MixResult {
       for (std::size_t i = t; i < total; i += threads) {
         const std::string line = request_line(bw_for(mix, i));
         const auto start = Clock::now();
-        auto parsed = serve::parse_request(line);
+        auto parsed = serve::parse_any_request(line);
         const auto& req = std::get<serve::WireRequest>(parsed);
         const PlanResponse r = planner.plan(serve::to_plan_request(req));
         const std::string out = serve::write_response(req, r, model, names);

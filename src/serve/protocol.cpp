@@ -1,8 +1,12 @@
 #include "serve/protocol.h"
 
 #include <algorithm>
+#include <array>
 #include <charconv>
 #include <cmath>
+#include <initializer_list>
+#include <limits>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -20,6 +24,7 @@ constexpr std::uint32_t kMaxRounds = 64;
 // Co-mapping time grows steeply with the tenant count, so one request line
 // may not ask for more tenants than this.
 constexpr std::size_t kMaxTenants = 8;
+constexpr double kUnbounded = std::numeric_limits<double>::infinity();
 
 [[nodiscard]] std::string known_zoo_keys() {
   std::string keys;
@@ -30,8 +35,152 @@ constexpr std::size_t kMaxTenants = 8;
   return keys;
 }
 
+template <class... Parts>
+[[nodiscard]] std::string concat(const Parts&... parts) {
+  std::string out;
+  ((out += parts), ...);
+  return out;
+}
+
+/// The first fault of a request line. The readers below throw it, and
+/// parse_any_request answers it with the id read so far.
+struct Reject {
+  ErrorCode code;
+  std::string message;
+};
+
+/// One JSON object of a request (the root, "links", each override, each
+/// tenant, "repair", "emit"), read member by member. Every read records its
+/// key, and finish() rejects the first member that no read asked for, so the
+/// reads are the schema: no list of allowed names is kept beside them.
+/// Known members are read, and checked, before finish() looks for unknown
+/// ones. Messages read "<path><key>: <what>" and are built only on a fault.
+class Fields {
+ public:
+  Fields(const json::Object& obj, std::string_view path)
+      : obj_(obj), path_(path) {}
+
+  /// The member's value, or nullptr when absent.
+  [[nodiscard]] const json::Value* find(std::string_view key) {
+    H2H_ASSERT(asked_count_ < asked_.size());
+    asked_[asked_count_++] = key;
+    return obj_.find(key);
+  }
+
+  /// find(), where a present value must pass `valid`, else
+  /// "expected <expected>".
+  template <class Valid>
+  const json::Value* optional(std::string_view key, Valid valid,
+                              std::string_view expected) {
+    const json::Value* v = find(key);
+    if (v != nullptr && !valid(*v)) bad(key, concat("expected ", expected));
+    return v;
+  }
+
+  /// optional(), where the member must also be present; either fault reads
+  /// "expected <expected> (required)".
+  template <class Valid>
+  const json::Value& required(std::string_view key, Valid valid,
+                              std::string_view expected) {
+    const json::Value* v = find(key);
+    if (v == nullptr || !valid(*v)) {
+      bad(key, concat("expected ", expected, " (required)"));
+    }
+    return *v;
+  }
+
+  [[noreturn]] void bad(std::string_view key, std::string_view what,
+                        ErrorCode code = ErrorCode::BadField) const {
+    throw Reject{code, concat(path_, key, ": ", what)};
+  }
+
+  /// Rejects the first member that no read asked for, as
+  /// "<path><key>: unknown field" followed by the `suffix` parts.
+  template <class... Suffix>
+  void finish(const Suffix&... suffix) const {
+    if (const json::Object::Member* m = unknown()) {
+      bad(m->key, concat("unknown field", suffix...), ErrorCode::UnknownField);
+    }
+  }
+
+  /// finish(), naming the keys read: " (valid: event, acc, scale)".
+  void finish_listing_keys() const {
+    if (unknown() == nullptr) return;
+    std::string keys;
+    for (std::size_t i = 0; i < asked_count_; ++i) {
+      if (i > 0) keys += ", ";
+      keys += asked_[i];
+    }
+    finish(" (valid: ", keys, ")");
+  }
+
+ private:
+  [[nodiscard]] const json::Object::Member* unknown() const {
+    const auto asked_end =
+        asked_.begin() + static_cast<std::ptrdiff_t>(asked_count_);
+    for (const json::Object::Member& m : obj_.members()) {
+      if (std::find(asked_.begin(), asked_end, m.key) == asked_end) return &m;
+    }
+    return nullptr;
+  }
+
+  const json::Object& obj_;
+  std::string_view path_;
+  std::array<std::string_view, 12> asked_{};
+  std::size_t asked_count_ = 0;
+};
+
+bool is_string(const json::Value& v) { return v.is_string(); }
+bool is_bool(const json::Value& v) { return v.is_bool(); }
+bool is_number(const json::Value& v) { return v.is_number(); }
+bool is_object(const json::Value& v) { return v.is_object(); }
+bool is_array(const json::Value& v) { return v.is_array(); }
+bool is_positive(const json::Value& v) {
+  return v.is_number() && v.as_number() > 0;
+}
+bool is_non_negative(const json::Value& v) {
+  return v.is_number() && v.as_number() >= 0;
+}
+bool is_non_empty_array(const json::Value& v) {
+  return v.is_array() && !v.as_array().empty();
+}
+bool is_tenant_name(const json::Value& v) {
+  return v.is_string() && !v.as_string().empty() &&
+         v.as_string().find('/') == std::string::npos;
+}
+
+[[nodiscard]] auto integer_in(double lo, double hi) {
+  return [lo, hi](const json::Value& v) {
+    if (!v.is_number()) return false;
+    const double x = v.as_number();
+    return x >= lo && x <= hi && x == std::floor(x);
+  };
+}
+
+/// An optional integer member in [lo, hi].
+[[nodiscard]] std::optional<std::uint32_t> read_integer(Fields& fields,
+                                                        std::string_view key,
+                                                        std::uint32_t lo,
+                                                        std::uint32_t hi) {
+  const json::Value* v = fields.find(key);
+  if (v == nullptr) return std::nullopt;
+  if (!integer_in(lo, hi)(*v)) {
+    fields.bad(key, strformat("expected an integer in [%u, %u]", lo, hi));
+  }
+  return static_cast<std::uint32_t>(v->as_number());
+}
+
+[[nodiscard]] ZooModel read_model(Fields& fields) {
+  const std::string& key =
+      fields.required("model", is_string, "a string zoo key").as_string();
+  if (const std::optional<ZooModel> zoo = zoo_model_by_key(key)) return *zoo;
+  throw Reject{ErrorCode::UnknownModel,
+               strformat("unknown model '%s' (known: %s)", key.c_str(),
+                         known_zoo_keys().c_str())};
+}
+
 /// Canonical-string -> JSON value for one option row (inverse of the string
-/// conversion parse_options does). Unset options return null.
+/// conversion read_options does). Unset options return null.
 [[nodiscard]] json::Value option_value(const PlanOptionSpec& spec,
                                        const PlanOptions& options) {
   const std::string v = spec.get(options);
@@ -53,146 +202,62 @@ constexpr std::size_t kMaxTenants = 8;
   return json::Value(nullptr);
 }
 
-/// parse_links_object result: a topology, or (code, error) on failure.
-struct LinksParse {
-  std::optional<Interconnect> links;
-  ErrorCode code = ErrorCode::BadField;
-  std::string error;  // empty = success
-};
-
-/// Parse the request's "links" object (schema in protocol.h). Strict like
-/// the rest of the wire: unknown fields are rejected, every value is
-/// type-checked, and Interconnect's own validation errors surface as
-/// bad_field.
-[[nodiscard]] LinksParse parse_links_object(const json::Object& obj) {
-  LinksParse out;
-  const auto fail = [&out](ErrorCode code, std::string message) {
-    out.code = code;
-    out.error = std::move(message);
-    return out;
+/// The "links" object (schema in protocol.h). Interconnect's own validation
+/// errors answer as bad_field "links: ...".
+[[nodiscard]] Interconnect read_links(const json::Object& obj) {
+  Fields links(obj, "links.");
+  const json::Value& shape = links.required(
+      "shape", is_string, R"("uniform", "mixed", or "hierarchical")");
+  const std::string& kind = shape.as_string();
+  // Bandwidths in GB/s on the wire.
+  const auto number = [&links](std::string_view key, bool required) {
+    const json::Value* v = links.optional(key, is_number, "a number");
+    if (v == nullptr && required) links.bad(key, "required for this shape");
+    return v == nullptr ? 0.0 : v->as_number();
   };
-
-  const json::Value* shape = obj.find("shape");
-  if (shape == nullptr || !shape->is_string()) {
-    return fail(ErrorCode::BadField,
-                "links.shape: expected \"uniform\", \"mixed\", or "
-                "\"hierarchical\" (required)");
-  }
-  const std::string& kind = shape->as_string();
-
-  std::vector<std::string_view> allowed{"shape"};
-  if (kind == "uniform") {
-    allowed.insert(allowed.end(), {"bw_gbps"});
-  } else if (kind == "mixed") {
-    allowed.insert(allowed.end(), {"bw_gbps", "overrides"});
-  } else if (kind == "hierarchical") {
-    allowed.insert(allowed.end(), {"group_size", "intra_gbps", "uplink_gbps",
-                                   "host_gbps", "hop_latency_us"});
-  } else {
-    return fail(ErrorCode::BadField,
-                strformat("links.shape: unknown shape '%s'", kind.c_str()));
-  }
-  for (const json::Object::Member& m : obj.members()) {
-    if (std::find(allowed.begin(), allowed.end(), m.key) == allowed.end()) {
-      return fail(ErrorCode::UnknownField,
-                  strformat("links.%s: unknown field for shape %s",
-                            m.key.c_str(), kind.c_str()));
-    }
-  }
-
-  // Required/optional positive numbers, spelled in GB/s on the wire.
-  const auto number = [&obj](std::string_view key, bool required,
-                             double fallback, double& dst) -> std::string {
-    const json::Value* v = obj.find(key);
-    if (v == nullptr) {
-      if (required)
-        return strformat("links.%.*s: required for this shape",
-                         static_cast<int>(key.size()), key.data());
-      dst = fallback;
-      return {};
-    }
-    if (!v->is_number())
-      return strformat("links.%.*s: expected a number",
-                       static_cast<int>(key.size()), key.data());
-    dst = v->as_number();
-    return {};
-  };
-
+  std::optional<Interconnect> out;
   try {
     if (kind == "uniform") {
-      double bw = 0;
-      if (std::string err = number("bw_gbps", true, 0, bw); !err.empty())
-        return fail(ErrorCode::BadField, std::move(err));
-      out.links = Interconnect::uniform(gbps(bw));
+      out = Interconnect::uniform(gbps(number("bw_gbps", true)));
     } else if (kind == "mixed") {
-      double bw = 0;
-      if (std::string err = number("bw_gbps", true, 0, bw); !err.empty())
-        return fail(ErrorCode::BadField, std::move(err));
+      const double bw = number("bw_gbps", true);
       std::vector<Interconnect::Override> overrides;
-      if (const json::Value* ov = obj.find("overrides")) {
-        if (!ov->is_array())
-          return fail(ErrorCode::BadField,
-                      "links.overrides: expected an array");
+      if (const json::Value* ov =
+              links.optional("overrides", is_array, "an array")) {
         for (const json::Value& entry : ov->as_array()) {
-          if (!entry.is_object())
-            return fail(ErrorCode::BadField,
-                        "links.overrides: expected objects with acc, bw_gbps");
-          const json::Object& e = entry.as_object();
-          for (const json::Object::Member& m : e.members()) {
-            if (m.key != "acc" && m.key != "bw_gbps") {
-              return fail(ErrorCode::UnknownField,
-                          strformat("links.overrides.%s: unknown field",
-                                    m.key.c_str()));
-            }
+          if (!entry.is_object()) {
+            links.bad("overrides", "expected objects with acc, bw_gbps");
           }
-          const json::Value* acc = e.find("acc");
-          const json::Value* obw = e.find("bw_gbps");
-          if (acc == nullptr || !acc->is_number() ||
-              acc->as_number() < 0 ||
-              acc->as_number() != std::floor(acc->as_number())) {
-            return fail(ErrorCode::BadField,
-                        "links.overrides.acc: expected a non-negative "
-                        "integer (required)");
-          }
-          if (obw == nullptr || !obw->is_number()) {
-            return fail(ErrorCode::BadField,
-                        "links.overrides.bw_gbps: expected a number "
-                        "(required)");
-          }
-          overrides.emplace_back(static_cast<std::uint32_t>(acc->as_number()),
-                                 gbps(obw->as_number()));
+          Fields e(entry.as_object(), "links.overrides.");
+          const json::Value& acc = e.required(
+              "acc", integer_in(0, kUnbounded), "a non-negative integer");
+          const json::Value& acc_bw =
+              e.required("bw_gbps", is_number, "a number");
+          e.finish();
+          overrides.emplace_back(static_cast<std::uint32_t>(acc.as_number()),
+                                 gbps(acc_bw.as_number()));
         }
       }
-      out.links = Interconnect::mixed(gbps(bw), std::move(overrides));
-    } else {
-      const json::Value* group = obj.find("group_size");
-      if (group == nullptr || !group->is_number() ||
-          group->as_number() < 1 ||
-          group->as_number() != std::floor(group->as_number())) {
-        return fail(ErrorCode::BadField,
-                    "links.group_size: expected a positive integer "
-                    "(required)");
-      }
+      out = Interconnect::mixed(gbps(bw), std::move(overrides));
+    } else if (kind == "hierarchical") {
+      const json::Value& group = links.required(
+          "group_size", integer_in(1, kUnbounded), "a positive integer");
       Interconnect::HierarchicalSpec spec;
-      spec.group_size = static_cast<std::uint32_t>(group->as_number());
-      double intra = 0, uplink = 0, host = 0, lat_us = 0;
-      for (std::string err :
-           {number("intra_gbps", true, 0, intra),
-            number("uplink_gbps", true, 0, uplink),
-            number("host_gbps", false, 0, host),
-            number("hop_latency_us", false, 0, lat_us)}) {
-        if (!err.empty()) return fail(ErrorCode::BadField, std::move(err));
-      }
-      spec.intra_bw = gbps(intra);
-      spec.uplink_bw = gbps(uplink);
+      spec.group_size = static_cast<std::uint32_t>(group.as_number());
+      spec.intra_bw = gbps(number("intra_gbps", true));
+      spec.uplink_bw = gbps(number("uplink_gbps", true));
+      const double host = number("host_gbps", false);
       spec.host_bw = host == 0 ? 0 : gbps(host);
-      spec.hop_latency_s = lat_us * 1e-6;
-      out.links = Interconnect::hierarchical(spec);
+      spec.hop_latency_s = number("hop_latency_us", false) * 1e-6;
+      out = Interconnect::hierarchical(spec);
+    } else {
+      links.bad("shape", strformat("unknown shape '%s'", kind.c_str()));
     }
   } catch (const ConfigError& e) {
-    return fail(ErrorCode::BadField, strformat("links: %s", e.what()));
+    throw Reject{ErrorCode::BadField, strformat("links: %s", e.what())};
   }
-  return out;
+  links.finish(" for shape ", kind);
+  return std::move(*out);
 }
 
 /// Canonical JSON spelling of a topology (the response echo).
@@ -228,43 +293,29 @@ struct LinksParse {
   return json::Value(std::move(o));
 }
 
-/// Strict "options" object parse into `out`, shared by both request
-/// schemas. An empty `error` means success.
-struct OptionsParse {
-  ErrorCode code = ErrorCode::BadField;
-  std::string error;
-};
-
-[[nodiscard]] OptionsParse parse_options_object(const json::Object& obj,
-                                                PlanOptions& out) {
-  for (const json::Object::Member& m : obj.members()) {
-    // The wire spelling is the table's json_key, exactly — the kebab-case
-    // CLI spelling is rejected here so the schema has one name per knob.
-    const PlanOptionSpec* spec = nullptr;
-    for (const PlanOptionSpec& s : plan_option_specs()) {
-      if (m.key == s.json_key) {
-        spec = &s;
-        break;
-      }
-    }
-    if (spec == nullptr) {
-      return {ErrorCode::UnknownField,
-              strformat("options.%s: unknown option", m.key.c_str())};
+/// The "options" object. Its members are the rows of plan_option_specs(),
+/// spelled by json_key exactly: the kebab-case CLI spelling is rejected, so
+/// the schema has one name per knob.
+void read_options(Fields& root, PlanOptions& out) {
+  const json::Value* v = root.optional("options", is_object, "an object");
+  if (v == nullptr) return;
+  const Fields options(v->as_object(), "options.");
+  for (const json::Object::Member& m : v->as_object().members()) {
+    const auto& specs = plan_option_specs();
+    const auto spec = std::find_if(
+        specs.begin(), specs.end(),
+        [&m](const PlanOptionSpec& s) { return m.key == s.json_key; });
+    if (spec == specs.end()) {
+      options.bad(m.key, "unknown option", ErrorCode::UnknownField);
     }
     std::string spelled;
     switch (spec->kind) {
       case PlanOptionSpec::Kind::Bool:
-        if (!m.value.is_bool()) {
-          return {ErrorCode::BadField,
-                  strformat("options.%s: expected a boolean", m.key.c_str())};
-        }
+        if (!m.value.is_bool()) options.bad(m.key, "expected a boolean");
         spelled = m.value.as_bool() ? "true" : "false";
         break;
       case PlanOptionSpec::Kind::Double: {
-        if (!m.value.is_number()) {
-          return {ErrorCode::BadField,
-                  strformat("options.%s: expected a number", m.key.c_str())};
-        }
+        if (!m.value.is_number()) options.bad(m.key, "expected a number");
         char buf[32];
         const auto [end, ec] =
             std::to_chars(buf, buf + sizeof(buf), m.value.as_number());
@@ -274,20 +325,15 @@ struct OptionsParse {
       }
       case PlanOptionSpec::Kind::Enum:
         if (!m.value.is_string()) {
-          return {ErrorCode::BadField,
-                  strformat("options.%s: expected one of %.*s", m.key.c_str(),
-                            static_cast<int>(spec->values.size()),
-                            spec->values.data())};
+          options.bad(m.key, concat("expected one of ", spec->values));
         }
         spelled = m.value.as_string();
         break;
     }
     if (std::optional<std::string> err = spec->set(out, spelled)) {
-      return {ErrorCode::BadField,
-              strformat("options.%s: %s", m.key.c_str(), err->c_str())};
+      options.bad(m.key, *err);
     }
   }
-  return {};
 }
 
 /// The canonical "options" echo: every knob at its effective value,
@@ -338,458 +384,193 @@ struct OptionsParse {
   return json::Value(std::move(out));
 }
 
-/// Shared head of both schemas: "id" then "schema_version", every later
-/// error echoing the id. Returns nullopt on success.
-template <typename Fail>
-[[nodiscard]] std::optional<WireError> parse_head(const json::Object& root,
-                                                  std::string& id,
-                                                  const Fail& fail) {
-  if (const json::Value* v = root.find("id")) {
-    if (!v->is_string()) {
-      return WireError{ErrorCode::BadField, "id: expected a string", {}};
-    }
-    id = v->as_string();
-  }
-  const json::Value* version = root.find("schema_version");
-  if (version == nullptr) {
-    return fail(ErrorCode::SchemaVersion,
-                strformat("missing schema_version (this server speaks %d)",
-                          kSchemaVersion));
-  }
-  if (!version->is_number() ||
-      version->as_number() != static_cast<double>(kSchemaVersion)) {
-    return fail(ErrorCode::SchemaVersion,
-                strformat("unsupported schema_version (this server speaks %d)",
-                          kSchemaVersion));
-  }
-  return std::nullopt;
+/// The members every response line starts with.
+[[nodiscard]] json::Object response_head(const std::string& id, bool ok) {
+  json::Object root;
+  root.set("schema_version", kSchemaVersion);
+  if (!id.empty()) root.set("id", id);
+  root.set("ok", ok);
+  return root;
 }
 
-/// The single-model request schema (everything after the line-level JSON
-/// checks, which the public entry points share).
-[[nodiscard]] std::variant<WireRequest, WireError> parse_single(
-    const json::Object& root) {
-  WireRequest req;
-  const auto fail = [&req](ErrorCode code, std::string message) {
-    return WireError{code, std::move(message), req.id};
-  };
-  if (std::optional<WireError> err = parse_head(root, req.id, fail)) {
-    return *err;
-  }
+/// The scenario echo of plan and repair responses: model, bw_gbps, the
+/// canonical topology (links requests only: scalar responses keep their
+/// exact pre-topology bytes, pinned by the CI fixtures), batch, and every
+/// knob at its canonical value, defaults included.
+template <class Request>
+void echo_scenario(json::Object& root, const Request& req) {
+  root.set("model", zoo_info(req.model).key);
+  root.set("bw_gbps", req.bw_gbps);
+  if (req.links) root.set("links", links_json(*req.links));
+  root.set("batch", req.batch == 0 ? 1u : req.batch);
+  root.set("options", options_json(req.options));
+}
 
-  const json::Value* model = root.find("model");
-  if (model == nullptr || !model->is_string()) {
-    return fail(ErrorCode::BadField,
-                "model: expected a string zoo key (required)");
-  }
-  const std::optional<ZooModel> zoo = zoo_model_by_key(model->as_string());
-  if (!zoo) {
-    return fail(ErrorCode::UnknownModel,
-                strformat("unknown model '%s' (known: %s)",
-                          model->as_string().c_str(),
-                          known_zoo_keys().c_str()));
-  }
-  req.model = *zoo;
+/// The "emit" flags of one request kind: wire name and target, in read order.
+using EmitFlags = std::initializer_list<std::pair<std::string_view, bool*>>;
 
+/// The "emit" object: one optional boolean per flag.
+void read_emit(Fields& root, EmitFlags flags) {
+  const json::Value* v = root.optional("emit", is_object, "an object");
+  if (v == nullptr) return;
+  Fields emit(v->as_object(), "emit.");
+  for (const auto& [name, target] : flags) {
+    if (const json::Value* b = emit.optional(name, is_bool, "a boolean")) {
+      *target = b->as_bool();
+    }
+  }
+  emit.finish_listing_keys();
+}
+
+/// The members plan and repair requests share, spelled alike: the session
+/// key (model, bw_gbps or links, batch) and the options.
+template <class Request>
+void read_scenario(Fields& root, Request& req) {
+  req.model = read_model(root);
+  const json::Value* links = root.find("links");
   if (const json::Value* bw = root.find("bw_gbps")) {
-    if (root.find("links") != nullptr) {
-      return fail(ErrorCode::BadField,
-                  "bw_gbps: conflicts with links (the topology's base "
-                  "bandwidth is the scalar view; send one or the other)");
+    if (links != nullptr) {
+      root.bad("bw_gbps",
+               "conflicts with links (the topology's base bandwidth is the "
+               "scalar view; send one or the other)");
     }
-    if (!bw->is_number() || !(bw->as_number() > 0)) {
-      return fail(ErrorCode::BadField, "bw_gbps: expected a positive number");
-    }
+    if (!is_positive(*bw)) root.bad("bw_gbps", "expected a positive number");
     req.bw_gbps = bw->as_number();
   }
-
-  if (const json::Value* links = root.find("links")) {
-    if (!links->is_object()) {
-      return fail(ErrorCode::BadField, "links: expected an object");
-    }
-    LinksParse parsed_links = parse_links_object(links->as_object());
-    if (!parsed_links.links) {
-      return fail(parsed_links.code, std::move(parsed_links.error));
-    }
-    req.links = std::move(parsed_links.links);
+  if (links != nullptr) {
+    if (!links->is_object()) root.bad("links", "expected an object");
+    req.links = read_links(links->as_object());
     req.bw_gbps = req.links->base_bw() / 1e9;
   }
-
-  if (const json::Value* batch = root.find("batch")) {
-    const double b = batch->is_number() ? batch->as_number() : -1;
-    if (b < 1 || b > kMaxBatch || b != std::floor(b)) {
-      return fail(ErrorCode::BadField,
-                  strformat("batch: expected an integer in [1, %u]",
-                            kMaxBatch));
-    }
-    req.batch = static_cast<std::uint32_t>(b);
+  if (auto batch = read_integer(root, "batch", 1, kMaxBatch)) {
+    req.batch = *batch;
   }
+  read_options(root, req.options);
+}
 
-  if (const json::Value* options = root.find("options")) {
-    if (!options->is_object()) {
-      return fail(ErrorCode::BadField, "options: expected an object");
-    }
-    OptionsParse op = parse_options_object(options->as_object(), req.options);
-    if (!op.error.empty()) return fail(op.code, std::move(op.error));
-  }
-
-  if (const json::Value* emit = root.find("emit")) {
-    if (!emit->is_object()) {
-      return fail(ErrorCode::BadField, "emit: expected an object");
-    }
-    for (const json::Object::Member& m : emit->as_object().members()) {
-      bool* target = nullptr;
-      if (m.key == "mapping") {
-        target = &req.emit_mapping;
-      } else if (m.key == "steps") {
-        target = &req.emit_steps;
-      } else if (m.key == "timing") {
-        target = &req.emit_timing;
-      } else {
-        return fail(ErrorCode::UnknownField,
-                    strformat("emit.%s: unknown field (valid: mapping, "
-                              "steps, timing)",
-                              m.key.c_str()));
-      }
-      if (!m.value.is_bool()) {
-        return fail(ErrorCode::BadField,
-                    strformat("emit.%s: expected a boolean", m.key.c_str()));
-      }
-      *target = m.value.as_bool();
-    }
-  }
-
-  for (const json::Object::Member& m : root.members()) {
-    if (m.key != "schema_version" && m.key != "id" && m.key != "model" &&
-        m.key != "bw_gbps" && m.key != "links" && m.key != "batch" &&
-        m.key != "options" && m.key != "emit") {
-      return fail(ErrorCode::UnknownField,
-                  strformat("%s: unknown field", m.key.c_str()));
-    }
-  }
+[[nodiscard]] WireRequest read_plan(Fields& root) {
+  WireRequest req;
+  read_scenario(root, req);
+  read_emit(root, {{"mapping", &req.emit_mapping},
+                   {"steps", &req.emit_steps},
+                   {"timing", &req.emit_timing}});
+  root.finish();
   return req;
 }
 
-/// The multi-tenant request schema (root "tenants" array; protocol.h).
-[[nodiscard]] std::variant<WireTenantsRequest, WireError> parse_tenants(
-    const json::Object& root) {
+[[nodiscard]] TenantRequest read_tenant(
+    const json::Object& obj, const std::vector<TenantRequest>& earlier) {
+  Fields fields(obj, "tenants.");
+  TenantRequest tenant;
+  const json::Value& name =
+      fields.required("name", is_tenant_name, "a non-empty string without '/'");
+  tenant.name = name.as_string();
+  for (const TenantRequest& seen : earlier) {
+    if (seen.name == tenant.name) {
+      fields.bad("name", strformat("duplicate tenant name '%s'",
+                                   tenant.name.c_str()));
+    }
+  }
+  tenant.model = read_model(fields);
+  if (const json::Value* slo =
+          fields.optional("slo_s", is_positive, "a positive number")) {
+    tenant.slo_s = slo->as_number();
+  }
+  if (auto priority = read_integer(fields, "priority", 1, 1'000'000)) {
+    tenant.priority = *priority;
+  }
+  if (const json::Value* caps =
+          fields.optional("caps", is_string, "a capability-spec string")) {
+    try {
+      tenant.required_caps = parse_caps_spec(caps->as_string());
+    } catch (const ConfigError& e) {
+      fields.bad("caps", e.what());
+    }
+  }
+  fields.finish();
+  return tenant;
+}
+
+[[nodiscard]] WireTenantsRequest read_tenants(Fields& root) {
   WireTenantsRequest req;
-  const auto fail = [&req](ErrorCode code, std::string message) {
-    return WireError{code, std::move(message), req.id};
-  };
-  if (std::optional<WireError> err = parse_head(root, req.id, fail)) {
-    return *err;
+  const json::Array& tenants =
+      root.required("tenants", is_non_empty_array, "a non-empty array")
+          .as_array();
+  if (tenants.size() > kMaxTenants) {
+    root.bad("tenants", strformat("at most %zu tenants per request, got %zu",
+                                  kMaxTenants, tenants.size()));
   }
-
-  const json::Value* tenants = root.find("tenants");
-  if (tenants == nullptr || !tenants->is_array() ||
-      tenants->as_array().empty()) {
-    return fail(ErrorCode::BadField,
-                "tenants: expected a non-empty array (required)");
-  }
-  if (tenants->as_array().size() > kMaxTenants) {
-    return fail(ErrorCode::BadField,
-                strformat("tenants: at most %zu tenants per request, got %zu",
-                          kMaxTenants, tenants->as_array().size()));
-  }
-  for (const json::Value& entry : tenants->as_array()) {
+  for (const json::Value& entry : tenants) {
     if (!entry.is_object()) {
-      return fail(ErrorCode::BadField,
-                  "tenants: expected objects with name, model");
+      root.bad("tenants", "expected objects with name, model");
     }
-    const json::Object& t = entry.as_object();
-    for (const json::Object::Member& m : t.members()) {
-      if (m.key != "name" && m.key != "model" && m.key != "slo_s" &&
-          m.key != "priority" && m.key != "caps") {
-        return fail(ErrorCode::UnknownField,
-                    strformat("tenants.%s: unknown field", m.key.c_str()));
-      }
-    }
-    TenantRequest tenant;
-    const json::Value* name = t.find("name");
-    if (name == nullptr || !name->is_string() || name->as_string().empty() ||
-        name->as_string().find('/') != std::string::npos) {
-      return fail(ErrorCode::BadField,
-                  "tenants.name: expected a non-empty string without '/' "
-                  "(required)");
-    }
-    tenant.name = name->as_string();
-    for (const TenantRequest& seen : req.tenants) {
-      if (seen.name == tenant.name) {
-        return fail(ErrorCode::BadField,
-                    strformat("tenants.name: duplicate tenant name '%s'",
-                              tenant.name.c_str()));
-      }
-    }
-    const json::Value* model = t.find("model");
-    if (model == nullptr || !model->is_string()) {
-      return fail(ErrorCode::BadField,
-                  "tenants.model: expected a string zoo key (required)");
-    }
-    const std::optional<ZooModel> zoo = zoo_model_by_key(model->as_string());
-    if (!zoo) {
-      return fail(ErrorCode::UnknownModel,
-                  strformat("unknown model '%s' (known: %s)",
-                            model->as_string().c_str(),
-                            known_zoo_keys().c_str()));
-    }
-    tenant.model = *zoo;
-    if (const json::Value* slo = t.find("slo_s")) {
-      if (!slo->is_number() || !(slo->as_number() > 0)) {
-        return fail(ErrorCode::BadField,
-                    "tenants.slo_s: expected a positive number");
-      }
-      tenant.slo_s = slo->as_number();
-    }
-    if (const json::Value* prio = t.find("priority")) {
-      const double p = prio->is_number() ? prio->as_number() : -1;
-      if (p < 1 || p > 1e6 || p != std::floor(p)) {
-        return fail(ErrorCode::BadField,
-                    "tenants.priority: expected an integer in [1, 1000000]");
-      }
-      tenant.priority = static_cast<std::uint32_t>(p);
-    }
-    if (const json::Value* caps = t.find("caps")) {
-      if (!caps->is_string()) {
-        return fail(ErrorCode::BadField,
-                    "tenants.caps: expected a capability-spec string");
-      }
-      try {
-        tenant.required_caps = parse_caps_spec(caps->as_string());
-      } catch (const ConfigError& e) {
-        return fail(ErrorCode::BadField,
-                    strformat("tenants.caps: %s", e.what()));
-      }
-    }
-    req.tenants.push_back(std::move(tenant));
+    req.tenants.push_back(read_tenant(entry.as_object(), req.tenants));
   }
-
-  if (const json::Value* bw = root.find("bw_gbps")) {
-    if (!bw->is_number() || !(bw->as_number() > 0)) {
-      return fail(ErrorCode::BadField, "bw_gbps: expected a positive number");
-    }
+  if (const json::Value* bw =
+          root.optional("bw_gbps", is_positive, "a positive number")) {
     req.bw_gbps = bw->as_number();
   }
-
-  if (const json::Value* options = root.find("options")) {
-    if (!options->is_object()) {
-      return fail(ErrorCode::BadField, "options: expected an object");
-    }
-    OptionsParse op = parse_options_object(options->as_object(), req.options);
-    if (!op.error.empty()) return fail(op.code, std::move(op.error));
+  read_options(root, req.options);
+  if (auto rounds = read_integer(root, "max_rounds", 0, kMaxRounds)) {
+    req.max_rounds = *rounds;
   }
-
-  if (const json::Value* rounds = root.find("max_rounds")) {
-    const double r = rounds->is_number() ? rounds->as_number() : -1;
-    if (r < 0 || r > kMaxRounds || r != std::floor(r)) {
-      return fail(ErrorCode::BadField,
-                  strformat("max_rounds: expected an integer in [0, %u]",
-                            kMaxRounds));
-    }
-    req.max_rounds = static_cast<std::uint32_t>(r);
-  }
-  if (const json::Value* v = root.find("steal_round")) {
-    if (!v->is_bool()) {
-      return fail(ErrorCode::BadField, "steal_round: expected a boolean");
-    }
+  if (const json::Value* v =
+          root.optional("steal_round", is_bool, "a boolean")) {
     req.steal_round = v->as_bool();
   }
-  if (const json::Value* v = root.find("require_slos")) {
-    if (!v->is_bool()) {
-      return fail(ErrorCode::BadField, "require_slos: expected a boolean");
-    }
+  if (const json::Value* v =
+          root.optional("require_slos", is_bool, "a boolean")) {
     req.require_slos = v->as_bool();
   }
-
-  if (const json::Value* emit = root.find("emit")) {
-    if (!emit->is_object()) {
-      return fail(ErrorCode::BadField, "emit: expected an object");
-    }
-    for (const json::Object::Member& m : emit->as_object().members()) {
-      if (m.key != "mapping") {
-        return fail(ErrorCode::UnknownField,
-                    strformat("emit.%s: unknown field (valid: mapping)",
-                              m.key.c_str()));
-      }
-      if (!m.value.is_bool()) {
-        return fail(ErrorCode::BadField,
-                    strformat("emit.%s: expected a boolean", m.key.c_str()));
-      }
-      req.emit_mapping = m.value.as_bool();
-    }
-  }
-
-  for (const json::Object::Member& m : root.members()) {
-    if (m.key != "schema_version" && m.key != "id" && m.key != "tenants" &&
-        m.key != "bw_gbps" && m.key != "options" && m.key != "max_rounds" &&
-        m.key != "steal_round" && m.key != "require_slos" &&
-        m.key != "emit") {
-      return fail(ErrorCode::UnknownField,
-                  strformat("%s: unknown field", m.key.c_str()));
-    }
-  }
+  read_emit(root, {{"mapping", &req.emit_mapping}});
+  root.finish();
   return req;
 }
 
-/// The live-repair request schema (root "repair" object; protocol.h).
-/// Shares the single-model session-key fields (model/bw_gbps/links/batch)
-/// and options/emit with parse_single, spelled identically.
-[[nodiscard]] std::variant<WireRepairRequest, WireError> parse_repair(
-    const json::Object& root) {
-  WireRepairRequest req;
-  const auto fail = [&req](ErrorCode code, std::string message) {
-    return WireError{code, std::move(message), req.id};
-  };
-  if (std::optional<WireError> err = parse_head(root, req.id, fail)) {
-    return *err;
+[[nodiscard]] FaultEvent read_fault(const json::Object& obj) {
+  Fields fields(obj, "repair.");
+  const std::string& name =
+      fields.required("event", is_string, "a string fault kind").as_string();
+  const std::optional<FaultKind> kind = parse_fault_kind(name);
+  if (!kind) {
+    fields.bad("event",
+               strformat("unknown fault kind '%s' (valid: acc_lost, "
+                         "acc_returned, link_degraded, link_restored, "
+                         "spec_derated)",
+                         name.c_str()));
   }
-
-  const json::Value* repair = root.find("repair");
-  H2H_ASSERT(repair != nullptr);  // parse_any_request dispatched on it
-  if (!repair->is_object()) {
-    return fail(ErrorCode::BadField, "repair: expected an object");
-  }
-  const json::Object& ev = repair->as_object();
-  for (const json::Object::Member& m : ev.members()) {
-    if (m.key != "event" && m.key != "acc" && m.key != "scale") {
-      return fail(ErrorCode::UnknownField,
-                  strformat("repair.%s: unknown field (valid: event, acc, "
-                            "scale)",
-                            m.key.c_str()));
+  FaultEvent event;
+  event.kind = *kind;
+  const json::Value& acc = fields.required("acc", integer_in(0, kUnbounded),
+                                          "a non-negative integer");
+  event.acc = AccId{static_cast<std::uint32_t>(acc.as_number())};
+  const std::string_view kind_name = to_string(event.kind);
+  const json::Value* scale = fields.find("scale");
+  if (event.has_scale()) {
+    if (scale == nullptr || !is_positive(*scale) || scale->as_number() > 1) {
+      fields.bad("scale", concat("expected a number in (0, 1] (required for ",
+                                 kind_name, ")"));
     }
-  }
-  const json::Value* kind = ev.find("event");
-  if (kind == nullptr || !kind->is_string()) {
-    return fail(ErrorCode::BadField,
-                "repair.event: expected a string fault kind (required)");
-  }
-  const std::optional<FaultKind> parsed_kind =
-      parse_fault_kind(kind->as_string());
-  if (!parsed_kind) {
-    return fail(ErrorCode::BadField,
-                strformat("repair.event: unknown fault kind '%s' (valid: "
-                          "acc_lost, acc_returned, link_degraded, "
-                          "link_restored, spec_derated)",
-                          kind->as_string().c_str()));
-  }
-  req.event.kind = *parsed_kind;
-  const json::Value* acc = ev.find("acc");
-  if (acc == nullptr || !acc->is_number() || acc->as_number() < 0 ||
-      acc->as_number() != std::floor(acc->as_number())) {
-    return fail(ErrorCode::BadField,
-                "repair.acc: expected a non-negative integer (required)");
-  }
-  req.event.acc = AccId{static_cast<std::uint32_t>(acc->as_number())};
-  const json::Value* scale = ev.find("scale");
-  if (req.event.has_scale()) {
-    if (scale == nullptr || !scale->is_number() ||
-        !(scale->as_number() > 0) || scale->as_number() > 1) {
-      return fail(ErrorCode::BadField,
-                  strformat("repair.scale: expected a number in (0, 1] "
-                            "(required for %.*s)",
-                            static_cast<int>(to_string(req.event.kind).size()),
-                            to_string(req.event.kind).data()));
-    }
-    req.event.scale = scale->as_number();
+    event.scale = scale->as_number();
   } else if (scale != nullptr) {
-    return fail(ErrorCode::BadField,
-                strformat("repair.scale: not allowed for %.*s",
-                          static_cast<int>(to_string(req.event.kind).size()),
-                          to_string(req.event.kind).data()));
+    fields.bad("scale", concat("not allowed for ", kind_name));
   }
+  fields.finish_listing_keys();
+  return event;
+}
 
-  const json::Value* model = root.find("model");
-  if (model == nullptr || !model->is_string()) {
-    return fail(ErrorCode::BadField,
-                "model: expected a string zoo key (required)");
-  }
-  const std::optional<ZooModel> zoo = zoo_model_by_key(model->as_string());
-  if (!zoo) {
-    return fail(ErrorCode::UnknownModel,
-                strformat("unknown model '%s' (known: %s)",
-                          model->as_string().c_str(),
-                          known_zoo_keys().c_str()));
-  }
-  req.model = *zoo;
-
-  if (const json::Value* bw = root.find("bw_gbps")) {
-    if (root.find("links") != nullptr) {
-      return fail(ErrorCode::BadField,
-                  "bw_gbps: conflicts with links (the topology's base "
-                  "bandwidth is the scalar view; send one or the other)");
-    }
-    if (!bw->is_number() || !(bw->as_number() > 0)) {
-      return fail(ErrorCode::BadField, "bw_gbps: expected a positive number");
-    }
-    req.bw_gbps = bw->as_number();
-  }
-  if (const json::Value* links = root.find("links")) {
-    if (!links->is_object()) {
-      return fail(ErrorCode::BadField, "links: expected an object");
-    }
-    LinksParse parsed_links = parse_links_object(links->as_object());
-    if (!parsed_links.links) {
-      return fail(parsed_links.code, std::move(parsed_links.error));
-    }
-    req.links = std::move(parsed_links.links);
-    req.bw_gbps = req.links->base_bw() / 1e9;
-  }
-  if (const json::Value* batch = root.find("batch")) {
-    const double b = batch->is_number() ? batch->as_number() : -1;
-    if (b < 1 || b > kMaxBatch || b != std::floor(b)) {
-      return fail(ErrorCode::BadField,
-                  strformat("batch: expected an integer in [1, %u]",
-                            kMaxBatch));
-    }
-    req.batch = static_cast<std::uint32_t>(b);
-  }
-  if (const json::Value* options = root.find("options")) {
-    if (!options->is_object()) {
-      return fail(ErrorCode::BadField, "options: expected an object");
-    }
-    OptionsParse op = parse_options_object(options->as_object(), req.options);
-    if (!op.error.empty()) return fail(op.code, std::move(op.error));
-  }
-  if (const json::Value* ratio = root.find("fallback_ratio")) {
-    if (!ratio->is_number() || ratio->as_number() < 0) {
-      return fail(ErrorCode::BadField,
-                  "fallback_ratio: expected a non-negative number");
-    }
-    req.fallback_ratio = ratio->as_number();
-  }
-  if (const json::Value* emit = root.find("emit")) {
-    if (!emit->is_object()) {
-      return fail(ErrorCode::BadField, "emit: expected an object");
-    }
-    for (const json::Object::Member& m : emit->as_object().members()) {
-      bool* target = nullptr;
-      if (m.key == "mapping") {
-        target = &req.emit_mapping;
-      } else if (m.key == "timing") {
-        target = &req.emit_timing;
-      } else {
-        return fail(ErrorCode::UnknownField,
-                    strformat("emit.%s: unknown field (valid: mapping, "
-                              "timing)",
-                              m.key.c_str()));
-      }
-      if (!m.value.is_bool()) {
-        return fail(ErrorCode::BadField,
-                    strformat("emit.%s: expected a boolean", m.key.c_str()));
-      }
-      *target = m.value.as_bool();
-    }
-  }
-
-  for (const json::Object::Member& m : root.members()) {
-    if (m.key != "schema_version" && m.key != "id" && m.key != "repair" &&
-        m.key != "model" && m.key != "bw_gbps" && m.key != "links" &&
-        m.key != "batch" && m.key != "options" &&
-        m.key != "fallback_ratio" && m.key != "emit") {
-      return fail(ErrorCode::UnknownField,
-                  strformat("%s: unknown field", m.key.c_str()));
-    }
-  }
+[[nodiscard]] WireRepairRequest read_repair(Fields& root) {
+  WireRepairRequest req;
+  // Present: parse_any_request dispatched on it.
+  req.event =
+      read_fault(root.optional("repair", is_object, "an object")->as_object());
+  read_scenario(root, req);
+  const json::Value* ratio =
+      root.optional("fallback_ratio", is_non_negative, "a non-negative number");
+  if (ratio != nullptr) req.fallback_ratio = ratio->as_number();
+  read_emit(root, {{"mapping", &req.emit_mapping},
+                   {"timing", &req.emit_timing}});
+  root.finish();
   return req;
 }
 
@@ -823,21 +604,6 @@ std::string_view to_string(ErrorCode code) noexcept {
   return "unknown";
 }
 
-std::variant<WireRequest, WireError> parse_request(std::string_view line) {
-  const json::ParseResult parsed = json::parse(line);
-  if (!parsed.value) {
-    return WireError{ErrorCode::ParseError,
-                     strformat("byte %zu: %s", parsed.offset,
-                               parsed.error.c_str()),
-                     {}};
-  }
-  if (!parsed.value->is_object()) {
-    return WireError{ErrorCode::ParseError, "request must be a JSON object",
-                     {}};
-  }
-  return parse_single(parsed.value->as_object());
-}
-
 std::variant<WireRequest, WireTenantsRequest, WireRepairRequest, WireError>
 parse_any_request(std::string_view line) {
   const json::ParseResult parsed = json::parse(line);
@@ -851,20 +617,31 @@ parse_any_request(std::string_view line) {
     return WireError{ErrorCode::ParseError, "request must be a JSON object",
                      {}};
   }
-  const json::Object& root = parsed.value->as_object();
-  if (root.find("tenants") != nullptr) {
-    std::variant<WireTenantsRequest, WireError> out = parse_tenants(root);
-    if (WireError* err = std::get_if<WireError>(&out)) return std::move(*err);
-    return std::move(std::get<WireTenantsRequest>(out));
+  const json::Object& obj = parsed.value->as_object();
+  std::string id;
+  try {
+    Fields root(obj, "");
+    if (const json::Value* v = root.optional("id", is_string, "a string")) {
+      id = v->as_string();
+    }
+    const json::Value* version = root.find("schema_version");
+    if (version == nullptr || !version->is_number() ||
+        version->as_number() != static_cast<double>(kSchemaVersion)) {
+      throw Reject{ErrorCode::SchemaVersion,
+                   strformat("%s schema_version (this server speaks %d)",
+                             version == nullptr ? "missing" : "unsupported",
+                             kSchemaVersion)};
+    }
+    const auto with_id = [&id](auto req) {
+      req.id = std::move(id);
+      return req;
+    };
+    if (obj.find("tenants") != nullptr) return with_id(read_tenants(root));
+    if (obj.find("repair") != nullptr) return with_id(read_repair(root));
+    return with_id(read_plan(root));
+  } catch (Reject& reject) {
+    return WireError{reject.code, std::move(reject.message), std::move(id)};
   }
-  if (root.find("repair") != nullptr) {
-    std::variant<WireRepairRequest, WireError> out = parse_repair(root);
-    if (WireError* err = std::get_if<WireError>(&out)) return std::move(*err);
-    return std::move(std::get<WireRepairRequest>(out));
-  }
-  std::variant<WireRequest, WireError> out = parse_single(root);
-  if (WireError* err = std::get_if<WireError>(&out)) return std::move(*err);
-  return std::move(std::get<WireRequest>(out));
 }
 
 PlanRequest to_plan_request(const WireRequest& request) {
@@ -878,20 +655,8 @@ PlanRequest to_plan_request(const WireRequest& request) {
 std::string write_response(const WireRequest& request,
                            const PlanResponse& response,
                            const ModelGraph& model, const SystemConfig& sys) {
-  json::Object root;
-  root.set("schema_version", kSchemaVersion);
-  if (!request.id.empty()) root.set("id", request.id);
-  root.set("ok", true);
-  root.set("model", zoo_info(request.model).key);
-  root.set("bw_gbps", request.bw_gbps);
-  // Canonical topology echo, only for links requests — scalar responses
-  // keep their exact pre-topology bytes (pinned by the CI fixtures).
-  if (request.links) root.set("links", links_json(*request.links));
-  root.set("batch", request.batch == 0 ? 1u : request.batch);
-
-  // Echo every knob at its canonical value so a response is a complete
-  // record of what was planned, defaults included.
-  root.set("options", options_json(request.options));
+  json::Object root = response_head(request.id, true);
+  echo_scenario(root, request);
 
   const ScheduleResult& fin = response.final_result();
   root.set("latency_s", fin.latency);
@@ -930,10 +695,7 @@ std::string write_tenants_response(const WireTenantsRequest& request,
                                    const CoMapResult& result,
                                    const SystemConfig& sys) {
   H2H_EXPECTS(result.tenants.size() == request.tenants.size());
-  json::Object root;
-  root.set("schema_version", kSchemaVersion);
-  if (!request.id.empty()) root.set("id", request.id);
-  root.set("ok", true);
+  json::Object root = response_head(request.id, true);
 
   // Canonical tenant echo merged with the per-tenant verdict, in request
   // (= union declaration) order. No-SLO tenants omit slo_s/slack_s rather
@@ -985,15 +747,8 @@ std::string write_repair_response(const WireRepairRequest& request,
                                   const SystemConfig& sys) {
   H2H_EXPECTS(result.outcome == RepairOutcome::Repaired);
   H2H_EXPECTS(result.response.has_value());
-  json::Object root;
-  root.set("schema_version", kSchemaVersion);
-  if (!request.id.empty()) root.set("id", request.id);
-  root.set("ok", true);
-  root.set("model", zoo_info(request.model).key);
-  root.set("bw_gbps", request.bw_gbps);
-  if (request.links) root.set("links", links_json(*request.links));
-  root.set("batch", request.batch == 0 ? 1u : request.batch);
-  root.set("options", options_json(request.options));
+  json::Object root = response_head(request.id, true);
+  echo_scenario(root, request);
   root.set("fallback_ratio", request.fallback_ratio);
 
   json::Object event;
@@ -1042,10 +797,7 @@ std::string write_repair_response(const WireRepairRequest& request,
 }
 
 std::string write_error(const WireError& error) {
-  json::Object root;
-  root.set("schema_version", kSchemaVersion);
-  if (!error.id.empty()) root.set("id", error.id);
-  root.set("ok", false);
+  json::Object root = response_head(error.id, false);
   json::Object detail;
   detail.set("code", to_string(error.code));
   detail.set("message", error.message);

@@ -38,7 +38,10 @@
 // core/plan_options.h — the same table generates the CLI flags, so
 // `h2h serve` and `h2h map` accept identical spellings. Unknown fields
 // anywhere are rejected (code "unknown_field"), so typos fail loudly
-// instead of silently planning with defaults.
+// instead of silently planning with defaults. Within each object, at every
+// level, known members are checked before unknown ones: a line with both a
+// stray member and a bad known member in one object answers for the bad
+// one. The "options" object, a table of knobs, is checked in member order.
 //
 // Multi-tenant co-mapping request (tenant/co_mapper.h) — a root "tenants"
 // array selects this schema; it shares id/schema_version/bw_gbps/options
@@ -191,15 +194,12 @@ struct WireRepairRequest {
   bool emit_timing = true;
 };
 
-/// Parse + validate one single-model request line. A root "tenants" field
-/// is rejected as unknown_field here — use parse_any_request to dispatch.
-[[nodiscard]] std::variant<WireRequest, WireError> parse_request(
-    std::string_view line);
-
-/// Parse + validate one request line of any schema: a root "tenants"
-/// member selects the multi-tenant form, a root "repair" member the
-/// live-repair form, anything else the single-model form (byte-identical
-/// to parse_request for those lines).
+/// Parse + validate one request line; the only parse entry point. A root
+/// "tenants" member selects the multi-tenant schema, a root "repair" member
+/// the live-repair schema, anything else the single-model schema. All three
+/// read every object through one field reader, so the members plan and
+/// repair share (model, bw_gbps or links, batch, options, emit) are checked
+/// by the same code, and the first fault found is the error.
 [[nodiscard]] std::variant<WireRequest, WireTenantsRequest, WireRepairRequest,
                            WireError>
 parse_any_request(std::string_view line);

@@ -15,6 +15,7 @@
 #include <semaphore>
 #include <thread>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "serve/protocol.h"
@@ -256,69 +257,64 @@ class RequestProcessor {
   }
 
  private:
+  /// One error mapping for every request kind: exceptions never cross the
+  /// wire, so an infeasible request cannot take the loop down. ConfigError
+  /// is a request-content problem the parser cannot see (a links override
+  /// outside the catalog, union dtype/batch disagreement, losing an
+  /// already-lost accelerator), so it answers bad_field, not plan_failed.
   [[nodiscard]] Outcome dispatch(const std::string& line) {
-    std::variant<WireRequest, WireTenantsRequest, WireRepairRequest,
-                 WireError>
-        parsed = parse_any_request(line);
-    if (const WireError* err = std::get_if<WireError>(&parsed)) {
-      return {write_error(*err), false};
-    }
-    if (const WireTenantsRequest* treq =
-            std::get_if<WireTenantsRequest>(&parsed)) {
-      return process_tenants(*treq);
-    }
-    if (const WireRepairRequest* rreq =
-            std::get_if<WireRepairRequest>(&parsed)) {
-      return process_repair(*rreq);
-    }
-    const WireRequest& req = std::get<WireRequest>(parsed);
-    try {
-      const PlanResponse response = planner_.plan(to_plan_request(req));
-      record_prior(req, response);
-      return {write_response(req, response, model_for(req.model), name_sys_),
-              true};
-    } catch (const std::exception& e) {
-      // Explicit error responses instead of exceptions crossing the wire:
-      // an infeasible request must not take the loop down.
-      return {write_error({ErrorCode::PlanFailed, e.what(), req.id}), false};
-    }
+    return std::visit(
+        [this](const auto& req) -> Outcome {
+          try {
+            return answer(req);
+          } catch (const CapabilityError& e) {
+            return fail(ErrorCode::InfeasibleCapability, e.what(), req.id);
+          } catch (const ConfigError& e) {
+            return fail(ErrorCode::BadField, e.what(), req.id);
+          } catch (const std::exception& e) {
+            return fail(ErrorCode::PlanFailed, e.what(), req.id);
+          }
+        },
+        parse_any_request(line));
   }
 
-  [[nodiscard]] Outcome process_tenants(const WireTenantsRequest& req) {
-    try {
-      const std::shared_ptr<CoMapSession> session = comap_session(req.bw_gbps);
-      const TenantSet set(req.tenants);
-      CoMapOptions opts;
-      opts.plan = req.options;
-      opts.max_rounds = req.max_rounds;
-      opts.steal_round = req.steal_round;
-      const CoMapResult result = session->comapper.co_map(set, opts);
-      if (req.require_slos && !result.all_slos_met) {
-        std::string missing;
-        for (const TenantOutcome& t : result.tenants) {
-          if (t.met) continue;
-          if (!missing.empty()) missing += ", ";
-          missing += strformat("%s (%.6g s > %.6g s)", t.name.c_str(),
-                               t.latency_s, t.slo_s);
-        }
-        return {write_error({ErrorCode::SloViolated,
-                             strformat("co-mapping misses SLOs: %s",
-                                       missing.c_str()),
-                             req.id}),
-                false};
+  [[nodiscard]] static Outcome fail(ErrorCode code, std::string message,
+                                    const std::string& id) {
+    return {write_error({code, std::move(message), id}), false};
+  }
+
+  [[nodiscard]] Outcome answer(const WireError& err) {
+    return {write_error(err), false};
+  }
+
+  [[nodiscard]] Outcome answer(const WireRequest& req) {
+    const PlanResponse response = planner_.plan(to_plan_request(req));
+    record_prior(req, response);
+    return {write_response(req, response, model_for(req.model), name_sys_),
+            true};
+  }
+
+  [[nodiscard]] Outcome answer(const WireTenantsRequest& req) {
+    const std::shared_ptr<CoMapSession> session = comap_session(req.bw_gbps);
+    const TenantSet set(req.tenants);
+    CoMapOptions opts;
+    opts.plan = req.options;
+    opts.max_rounds = req.max_rounds;
+    opts.steal_round = req.steal_round;
+    const CoMapResult result = session->comapper.co_map(set, opts);
+    if (req.require_slos && !result.all_slos_met) {
+      std::string missing;
+      for (const TenantOutcome& t : result.tenants) {
+        if (t.met) continue;
+        if (!missing.empty()) missing += ", ";
+        missing += strformat("%s (%.6g s > %.6g s)", t.name.c_str(),
+                             t.latency_s, t.slo_s);
       }
-      return {write_tenants_response(req, result, name_sys_), true};
-    } catch (const CapabilityError& e) {
-      return {write_error({ErrorCode::InfeasibleCapability, e.what(),
-                           req.id}),
-              false};
-    } catch (const ConfigError& e) {
-      // Request-content problems the parser cannot see (e.g. union
-      // dtype/batch disagreement) answer as bad_field, not plan_failed.
-      return {write_error({ErrorCode::BadField, e.what(), req.id}), false};
-    } catch (const std::exception& e) {
-      return {write_error({ErrorCode::PlanFailed, e.what(), req.id}), false};
+      return fail(ErrorCode::SloViolated,
+                  strformat("co-mapping misses SLOs: %s", missing.c_str()),
+                  req.id);
     }
+    return {write_tenants_response(req, result, name_sys_), true};
   }
 
   /// The co-map session for a bandwidth, built outside the registry lock
@@ -351,15 +347,13 @@ class RequestProcessor {
     });
   }
 
-  [[nodiscard]] Outcome process_repair(const WireRepairRequest& req) {
+  [[nodiscard]] Outcome answer(const WireRepairRequest& req) {
     if (req.event.acc.value >= name_sys_.accelerator_count()) {
-      return {write_error({ErrorCode::UnknownAcc,
-                           strformat("repair.acc: no accelerator %u (catalog "
-                                     "has %zu)",
-                                     req.event.acc.value,
-                                     name_sys_.accelerator_count()),
-                           req.id}),
-              false};
+      return fail(ErrorCode::UnknownAcc,
+                  strformat("repair.acc: no accelerator %u (catalog has %zu)",
+                            req.event.acc.value,
+                            name_sys_.accelerator_count()),
+                  req.id);
     }
     const ScenarioKey key =
         model_key(req.model, req.batch, req.bw_gbps, req.links);
@@ -380,12 +374,10 @@ class RequestProcessor {
       if (prior == nullptr) {
         // Never planned here, or evicted since: answered as a fresh server
         // would.
-        return {write_error({ErrorCode::NoPriorPlan,
-                             "repair: no prior plan for this model/topology/"
-                             "batch on this server — send a plan request "
-                             "first",
-                             req.id}),
-                false};
+        return fail(ErrorCode::NoPriorPlan,
+                    "repair: no prior plan for this model/topology/batch on "
+                    "this server — send a plan request first",
+                    req.id);
       }
       ModelGraph model = make_model(req.model);
       if (req.batch != 0) model.set_batch(req.batch);
@@ -404,22 +396,13 @@ class RequestProcessor {
     } else {
       session->engine.set_options(opts);
     }
-    try {
-      const RepairResult result = session->engine.apply(req.event);
-      if (result.outcome == RepairOutcome::Infeasible) {
-        return {write_error({ErrorCode::InfeasibleRepair,
-                             result.infeasible_reason, req.id}),
-                false};
-      }
-      return {write_repair_response(req, result, session->model, name_sys_),
-              true};
-    } catch (const ConfigError& e) {
-      // Contradictory transitions (losing a lost accelerator, returning a
-      // live one) are request-content errors.
-      return {write_error({ErrorCode::BadField, e.what(), req.id}), false};
-    } catch (const std::exception& e) {
-      return {write_error({ErrorCode::PlanFailed, e.what(), req.id}), false};
+    const RepairResult result = session->engine.apply(req.event);
+    if (result.outcome == RepairOutcome::Infeasible) {
+      return fail(ErrorCode::InfeasibleRepair, result.infeasible_reason,
+                  req.id);
     }
+    return {write_repair_response(req, result, session->model, name_sys_),
+            true};
   }
 
   /// Graphs are only needed for layer names in responses; one cached copy

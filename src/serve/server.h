@@ -19,10 +19,12 @@
 //
 // Every wire schema is served: single-model requests hit the shared
 // Planner; "tenants" requests co-map a TenantSet on a CoMapper
-// (tenant/co_mapper.h) kept warm for their bandwidth, with CapabilityError
-// answered as infeasible_capability and require_slos misses as
-// slo_violated; "repair" requests repair the last plan served for their
-// scenario key. Co-map sessions, prior plans and repair chains live in one
+// (tenant/co_mapper.h) kept warm for their bandwidth, with require_slos
+// misses answered as slo_violated; "repair" requests repair the last plan
+// served for their scenario key. All three map exceptions alike:
+// CapabilityError answers infeasible_capability, ConfigError (request
+// content the parser cannot see) bad_field, anything else plan_failed.
+// Co-map sessions, prior plans and repair chains live in one
 // least-recently-used scenario registry, bounded like the Planner's session
 // cache, so the server's memory does not grow with the keys clients send.
 //

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "accel/dataflow.h"
 #include "util/error.h"
 
@@ -96,6 +98,12 @@ struct UtilCase {
   std::uint32_t dim_a;
   std::uint32_t dim_b;
 };
+
+// Names the case, e.g. "systolic 64x32". Without it gtest prints the raw
+// bytes, padding included, and the ctest names can change between builds.
+void PrintTo(const UtilCase& c, std::ostream* os) {
+  *os << to_string(c.style) << ' ' << c.dim_a << 'x' << c.dim_b;
+}
 
 class UtilizationRange : public ::testing::TestWithParam<UtilCase> {};
 

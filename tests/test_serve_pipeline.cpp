@@ -98,18 +98,23 @@ namespace {
 }
 
 TEST(ServePipeline, AnswersEveryLineInOrderAndSurvivesErrors) {
-  const std::string input = request_line("mocap", 0.5, "a") + "\n" +
-                            "{not json\n" +
-                            R"({"schema_version":1,"model":"nope"})" + "\n" +
-                            "\n" +  // empty line: skipped, not answered
-                            request_line("mocap", 0.5, "b") + "\n";
+  const std::string input =
+      request_line("mocap", 0.5, "a") + "\n" + "{not json\n" +
+      R"({"schema_version":1,"model":"nope"})" + "\n" +
+      "\n" +  // empty line: skipped, not answered
+      request_line("mocap", 0.5, "b") + "\n" +
+      // A links override outside the 12-accelerator catalog is a
+      // request-content error the parser cannot see: bad_field, as in a
+      // tenants or repair request.
+      R"({"schema_version":1,"model":"mocap","links":{"shape":"mixed",)"
+      R"("bw_gbps":0.125,"overrides":[{"acc":99,"bw_gbps":1.25}]}})" + "\n";
   serve::ServeStats stats;
   const std::vector<std::string> lines = run_serve(input, {}, &stats);
 
-  ASSERT_EQ(lines.size(), 4u);
-  EXPECT_EQ(stats.requests, 4u);
+  ASSERT_EQ(lines.size(), 5u);
+  EXPECT_EQ(stats.requests, 5u);
   EXPECT_EQ(stats.ok, 2u);
-  EXPECT_EQ(stats.errors, 2u);
+  EXPECT_EQ(stats.errors, 3u);
 
   EXPECT_NE(lines[0].find(R"("id":"a")"), std::string::npos);
   EXPECT_NE(lines[0].find(R"("ok":true)"), std::string::npos);
@@ -118,6 +123,10 @@ TEST(ServePipeline, AnswersEveryLineInOrderAndSurvivesErrors) {
   EXPECT_NE(lines[2].find("unknown_model"), std::string::npos);
   EXPECT_NE(lines[3].find(R"("id":"b")"), std::string::npos);
   EXPECT_NE(lines[3].find(R"("ok":true)"), std::string::npos);
+  EXPECT_NE(lines[4].find(R"("code":"bad_field")"), std::string::npos)
+      << lines[4];
+  EXPECT_NE(lines[4].find("acc 99 out of range"), std::string::npos)
+      << lines[4];
 
   // Same scenario planned twice: the warm response's payload is identical
   // to the cold one's apart from the echoed id (timing suppressed).

@@ -2,13 +2,20 @@
 // error responses, and the response serialization contract.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <fstream>
+#include <set>
+#include <sstream>
 #include <string>
 #include <variant>
+#include <vector>
 
 #include "accel/capability.h"
 #include "serve/json.h"
 #include "serve/protocol.h"
+#include "serve/server.h"
 #include "test_helpers.h"
+#include "util/rng.h"
 #include "util/str.h"
 
 namespace h2h {
@@ -19,19 +26,20 @@ using serve::WireError;
 using serve::WireRequest;
 
 [[nodiscard]] WireRequest parse_ok(const std::string& line) {
-  auto parsed = serve::parse_request(line);
+  auto parsed = serve::parse_any_request(line);
   EXPECT_TRUE(std::holds_alternative<WireRequest>(parsed)) << line;
   if (const WireError* err = std::get_if<WireError>(&parsed)) {
     ADD_FAILURE() << serve::to_string(err->code) << ": " << err->message;
     return {};
   }
+  if (!std::holds_alternative<WireRequest>(parsed)) return {};
   return std::get<WireRequest>(std::move(parsed));
 }
 
 [[nodiscard]] WireError parse_err(const std::string& line) {
-  auto parsed = serve::parse_request(line);
+  auto parsed = serve::parse_any_request(line);
   EXPECT_TRUE(std::holds_alternative<WireError>(parsed)) << line;
-  if (std::holds_alternative<WireRequest>(parsed)) return {};
+  if (!std::holds_alternative<WireError>(parsed)) return {};
   return std::get<WireError>(std::move(parsed));
 }
 
@@ -246,6 +254,13 @@ TEST(ServeProtocolLinks, RejectsConflictsAndBadShapes) {
                       R"("group_size":4}})")
                 .code,
             ErrorCode::UnknownField);
+  // Known members are checked before unknown ones: the missing bw_gbps
+  // answers, not the stray member.
+  const WireError missing_bw =
+      parse_err(R"({"schema_version":1,"model":"mocap",)"
+                R"("links":{"shape":"uniform","latency":1}})");
+  EXPECT_EQ(missing_bw.code, ErrorCode::BadField);
+  EXPECT_EQ(missing_bw.message, "links.bw_gbps: required for this shape");
   // Bad values inside a known shape.
   EXPECT_EQ(parse_err(R"({"schema_version":1,"model":"mocap",)"
                       R"("links":{"shape":"uniform","bw_gbps":0}})")
@@ -340,16 +355,10 @@ TEST(ServeProtocolTenants, NewErrorCodesHaveWireNames) {
 
 TEST(ServeProtocolTenants, DispatchesOnTheTenantsField) {
   // A single-model line still parses to a WireRequest through the
-  // dispatcher, and parse_request itself never sees the tenants schema.
+  // dispatcher.
   auto single = serve::parse_any_request(
       R"({"schema_version":1,"model":"mocap"})");
   EXPECT_TRUE(std::holds_alternative<WireRequest>(single));
-  // parse_request (single-model only) fails a tenants line on its missing
-  // required "model" field, exactly as before the tenants schema existed.
-  EXPECT_EQ(parse_err(R"({"schema_version":1,)"
-                      R"("tenants":[{"name":"a","model":"mocap"}]})")
-                .code,
-            ErrorCode::BadField);
 }
 
 TEST(ServeProtocolTenants, ParsesMinimalAndFullRequests) {
@@ -526,6 +535,166 @@ TEST(ServeProtocolTenants, ResponseEchoesCanonicalTenantsAndVerdicts) {
   json::ParseResult quiet_parsed = json::parse(quiet);
   ASSERT_TRUE(quiet_parsed.value.has_value());
   EXPECT_EQ(quiet_parsed.value->as_object().find("mapping"), nullptr);
+}
+
+
+/// Seeded edits of JSON documents: each edit picks one object of the
+/// document, at any depth, and replaces one member's value, drops one
+/// member, or adds a stray member. Values and keys come from a fixed pool
+/// and from the corpus itself, so edits also move members between schemas.
+class Mutator {
+ public:
+  Mutator(const std::vector<json::Value>& corpus, std::uint64_t seed)
+      : rng_(seed) {
+    for (const char* text :
+         {"null", "true", "false", "0", "-1", "1", "0.5", "3", "99", "4097",
+          "1e300", R"("")", R"("x")", R"("a/b")", R"("mocap")",
+          R"("uniform")", R"("mixed")", R"("acc_lost")", R"("spec_derated")",
+          "[]", "[1]", "{}", R"([{"acc":1,"bw_gbps":1}])"}) {
+      values_.push_back(*json::parse(text).value);
+    }
+    keys_ = {"", "zz", "batch", "links", "tenants", "repair", "scale", "steps"};
+    for (const json::Value& doc : corpus) collect(doc);
+  }
+
+  /// `doc` after `edits` edits.
+  [[nodiscard]] json::Value mutate(json::Value doc, int edits) {
+    for (int i = 0; i < edits; ++i) {
+      std::int64_t target =
+          static_cast<std::int64_t>(rng_.index(count_objects(doc)));
+      doc = edit(doc, target);
+    }
+    return doc;
+  }
+
+  [[nodiscard]] Rng& rng() { return rng_; }
+
+ private:
+  void collect(const json::Value& v) {
+    if (v.is_array()) {
+      for (const json::Value& e : v.as_array()) collect(e);
+    } else if (v.is_object()) {
+      for (const json::Object::Member& m : v.as_object().members()) {
+        keys_.push_back(m.key);
+        values_.push_back(m.value);
+        collect(m.value);
+      }
+    }
+  }
+
+  [[nodiscard]] static std::size_t count_objects(const json::Value& v) {
+    std::size_t n = 0;
+    if (v.is_array()) {
+      for (const json::Value& e : v.as_array()) n += count_objects(e);
+    } else if (v.is_object()) {
+      n = 1;
+      for (const json::Object::Member& m : v.as_object().members()) {
+        n += count_objects(m.value);
+      }
+    }
+    return n;
+  }
+
+  /// A copy of `v` whose `target`-th object, in pre-order, is edited.
+  [[nodiscard]] json::Value edit(const json::Value& v, std::int64_t& target) {
+    if (v.is_array()) {
+      json::Array out;
+      for (const json::Value& e : v.as_array()) out.push_back(edit(e, target));
+      return json::Value(std::move(out));
+    }
+    if (!v.is_object()) return v;
+    const auto members = v.as_object().members();
+    enum class Op { None, Replace, Drop, Add };
+    Op op = Op::None;
+    if (target-- == 0) {
+      op = members.empty() ? Op::Add : static_cast<Op>(rng_.uniform_int(1, 3));
+    }
+    const std::size_t pick = members.empty() ? 0 : rng_.index(members.size());
+    json::Object out;
+    for (std::size_t i = 0; i < members.size(); ++i) {
+      if (i == pick && op == Op::Drop) continue;
+      out.set(members[i].key, i == pick && op == Op::Replace
+                                  ? values_[rng_.index(values_.size())]
+                                  : edit(members[i].value, target));
+    }
+    if (op == Op::Add) {
+      out.set(keys_[rng_.index(keys_.size())],
+              values_[rng_.index(values_.size())]);
+    }
+    return json::Value(std::move(out));
+  }
+
+  Rng rng_;
+  std::vector<json::Value> values_;
+  std::vector<std::string> keys_;
+};
+
+TEST(ServeProtocol, SeededMutationsOfTheFixturesAnswerOnceInBand) {
+  std::ifstream requests(std::string(H2H_SOURCE_DIR) +
+                         "/ci/serve_fixtures/requests.jsonl");
+  ASSERT_TRUE(requests);
+  std::vector<json::Value> corpus;
+  for (std::string line; std::getline(requests, line);) {
+    corpus.push_back(*json::parse(line).value);
+  }
+  ASSERT_FALSE(corpus.empty());
+
+  std::set<std::string> codes;
+  for (int c = 0; c <= static_cast<int>(ErrorCode::InfeasibleRepair); ++c) {
+    codes.emplace(serve::to_string(static_cast<ErrorCode>(c)));
+  }
+  ASSERT_EQ(codes.size(), 11u);
+  ASSERT_EQ(codes.count("unknown"), 0u);
+
+  Mutator mutator(corpus, 20261019);
+  std::string rejected;  // every line answered by an error, in order
+  std::vector<std::string> answers;
+  for (int i = 0; i < 12'000; ++i) {
+    const int edits = static_cast<int>(mutator.rng().uniform_int(1, 3));
+    const json::Value doc = mutator.mutate(
+        corpus[mutator.rng().index(corpus.size())], edits);
+    const std::string line = json::dump(doc);
+    std::variant<WireRequest, serve::WireTenantsRequest,
+                 serve::WireRepairRequest, WireError>
+        parsed;
+    ASSERT_NO_THROW(parsed = serve::parse_any_request(line)) << line;
+
+    const json::Value* id = doc.as_object().find("id");
+    const std::string want_id =
+        id != nullptr && id->is_string() ? id->as_string() : "";
+    std::visit([&](const auto& req) { EXPECT_EQ(req.id, want_id) << line; },
+               parsed);
+    const WireError* err = std::get_if<WireError>(&parsed);
+    if (err == nullptr) continue;
+    const std::string answer = serve::write_error(*err);
+    const json::ParseResult back = json::parse(answer);
+    ASSERT_TRUE(back.value.has_value() && back.value->is_object()) << answer;
+    const json::Object& obj = back.value->as_object();
+    const json::Value* error = obj.find("error");
+    ASSERT_TRUE(error != nullptr && error->is_object()) << answer;
+    const json::Value* code = error->as_object().find("code");
+    ASSERT_TRUE(code != nullptr && code->is_string()) << answer;
+    EXPECT_EQ(codes.count(code->as_string()), 1u) << answer;
+    if (!want_id.empty()) {
+      ASSERT_NE(obj.find("id"), nullptr) << answer;
+      EXPECT_EQ(obj.find("id")->as_string(), want_id) << answer;
+    }
+    rejected += line + "\n";
+    answers.push_back(answer);
+  }
+  ASSERT_GT(answers.size(), 1000u);
+
+  // Through the serving loop, each rejected line answers exactly one line,
+  // in order. None of them plans, so this stays cheap under sanitizers.
+  std::istringstream in(rejected);
+  std::ostringstream out;
+  const serve::ServeStats stats = serve::serve_jsonl(in, out, {});
+  EXPECT_EQ(stats.requests, answers.size());
+  EXPECT_EQ(stats.errors, answers.size());
+  std::vector<std::string> got;
+  std::istringstream split(out.str());
+  for (std::string line; std::getline(split, line);) got.push_back(line);
+  EXPECT_EQ(got, answers);
 }
 
 }  // namespace

@@ -116,6 +116,9 @@ TEST(ServeRepairProtocol, RejectsMalformedRepairObjects) {
       R"({"schema_version":1,"model":"mocap",)"
       R"("repair":{"event":"acc_lost","acc":0},)"
       R"("bw_gbps":0.5,"links":{"shape":"uniform","bw_gbps":0.5}})",
+      // Known members are checked before unknown ones: the missing event
+      // answers, not the stray member.
+      R"({"schema_version":1,"model":"mocap","repair":{"a":1}})",
   };
   for (const char* line : bad) {
     const auto parsed = serve::parse_any_request(line);
