@@ -83,15 +83,45 @@ void RemapDeltaState::commit_probe() {
   probing_ = false;
 }
 
+bool RemapDeltaState::weights_fit(AccId acc, Bytes weight_demand) const {
+  return weight_.force_pin == nullptr && saved_nonneg_[acc.value] != 0 &&
+         weight_demand <= sim_->costs().dram_capacity(acc);
+}
+
+bool RemapDeltaState::buffers_fit(AccId acc, Bytes dram_demand) const {
+  return !accs_[acc.value].saturated &&
+         (!fusion_.enforce_capacity ||
+          dram_demand <= sim_->costs().dram_capacity(acc));
+}
+
+bool RemapDeltaState::move_is_local(LayerId node, AccId src,
+                                    AccId dst) const {
+  H2H_EXPECTS(!probing_);
+  H2H_EXPECTS(src.value < accs_.size() && dst.value < accs_.size() &&
+              src != dst);
+  const CostTable& costs = sim_->costs();
+  const AccAggregates& s = accs_[src.value];
+  const AccAggregates& d = accs_[dst.value];
+  // Upper bounds on what apply_move compares with each capacity. src only
+  // loses the node's weights and buffers. dst gains the node's weights and
+  // at most one buffer per incident edge: every in-edge, and the node's
+  // output once per out-edge (succs lists a successor once per edge).
+  const Bytes src_demand = s.weight_total + s.fused_bytes;
+  const Bytes dst_demand =
+      d.weight_total + costs.weight_bytes(node) + d.fused_bytes +
+      costs.pred_in_bytes(node) +
+      costs.out_bytes(node) * sim_->model().graph().succs(node).size();
+  return s.pins_trusted && d.pins_trusted && weights_fit(src, src_demand) &&
+         buffers_fit(src, src_demand) && weights_fit(dst, dst_demand) &&
+         buffers_fit(dst, dst_demand);
+}
+
 void RemapDeltaState::delta_weight_one(const Mapping& mapping,
                                        LocalityPlan& plan, AccId acc,
                                        LayerId arrival) {
   const CostTable& costs = sim_->costs();
   AccAggregates& st = accs_[acc.value];
-  const bool trivial = weight_.force_pin == nullptr &&
-                       saved_nonneg_[acc.value] != 0 &&
-                       st.weight_total <= costs.dram_capacity(acc);
-  if (trivial) {
+  if (weights_fit(acc, st.weight_total)) {
     // Everything-fits regime: solve_knapsack's fast path pins exactly the
     // positive-weight members. When the current pins already are that set,
     // only a layer arriving from the other accelerator needs its flag
@@ -178,11 +208,7 @@ void RemapDeltaState::delta_fusion(const Mapping& mapping, LocalityPlan& plan,
   // src: pins and demand only justify keeping the surviving co-located set
   // fused when nothing was capacity-rejected before and the (possibly
   // rewritten) pins plus the remaining buffers still fit.
-  const bool src_ok =
-      !st_src.saturated &&
-      (!fusion_.enforce_capacity ||
-       st_src.pinned_bytes + st_src.fused_bytes <= costs.dram_capacity(src));
-  if (src_ok) {
+  if (buffers_fit(src, st_src.pinned_bytes + st_src.fused_bytes)) {
     plan.set_used_dram(src, st_src.pinned_bytes + st_src.fused_bytes);
     ++stats_.local_fusion;
   } else {
@@ -196,11 +222,7 @@ void RemapDeltaState::delta_fusion(const Mapping& mapping, LocalityPlan& plan,
   // dst: the greedy walk only matches "fuse all co-located" when the whole
   // demand — old buffers plus the node's new edges — fits after the pin
   // update; otherwise the rejection order matters and the full pass decides.
-  const bool dst_ok = !st_dst.saturated &&
-                      (!fusion_.enforce_capacity ||
-                       st_dst.pinned_bytes + st_dst.fused_bytes + added <=
-                           costs.dram_capacity(dst));
-  if (dst_ok) {
+  if (buffers_fit(dst, st_dst.pinned_bytes + st_dst.fused_bytes + added)) {
     for (const EdgeRef& e : fuse_candidates_)
       plan.set_fused_in(e.consumer, e.slot, true);
     st_dst.fused_bytes += added;

@@ -23,6 +23,14 @@
 // memoizing KnapsackCache: the source-accelerator instance is identical
 // across all of a node's candidate probes, so it is solved once per node.
 //
+// move_is_local answers, before a probe, whether the delta will stay on that
+// O(deg(node)) path for a given move: both accelerators' pins are trusted
+// and both everything-fits regimes hold even if the destination had to fuse
+// every edge incident to the node. It is sufficient, not necessary: a move
+// it turns down may still be local. The step-4 loop combines it with the
+// schedule's critical chain to reject moves without probing them
+// (DESIGN.md §6).
+//
 // Either way the resulting Mapping/LocalityPlan state is bit-identical to
 // the full passes re-run from scratch (asserted by the randomized property
 // tests and by the reference remap search in the tests), so the probe's
@@ -92,6 +100,13 @@ class RemapDeltaState {
   void apply_move(const Mapping& mapping, LocalityPlan& plan, LayerId node,
                   AccId src, AccId dst);
 
+  /// True when apply_move for `node` (still on `src`) moving to `dst` would
+  /// write pins and fusion flags only on `node` and its graph predecessors
+  /// and successors: it would take the pins-trusted step-2 shortcut and the
+  /// local step-3 path on both accelerators. Read from the current
+  /// aggregates, outside a probe.
+  [[nodiscard]] bool move_is_local(LayerId node, AccId src, AccId dst) const;
+
   [[nodiscard]] const AccAggregates& aggregates(AccId acc) const {
     H2H_EXPECTS(acc.value < accs_.size());
     return accs_[acc.value];
@@ -105,6 +120,13 @@ class RemapDeltaState {
   }
 
  private:
+  /// Step 2's everything-fits regime on `acc` with `weight_demand` bytes of
+  /// member weights: solve_knapsack would pin exactly the positive-weight
+  /// members, so no solve is needed.
+  [[nodiscard]] bool weights_fit(AccId acc, Bytes weight_demand) const;
+  /// Step 3's keep-everything regime on `acc`: nothing there was
+  /// capacity-rejected and `dram_demand` (pins plus fused buffers) fits.
+  [[nodiscard]] bool buffers_fit(AccId acc, Bytes dram_demand) const;
   void delta_weight_one(const Mapping& mapping, LocalityPlan& plan, AccId acc,
                         LayerId arrival);
   void delta_fusion(const Mapping& mapping, LocalityPlan& plan, LayerId node,

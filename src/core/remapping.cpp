@@ -146,8 +146,15 @@ RemapStats data_locality_remapping(const Simulator& sim, Mapping& mapping,
       AccId best_dst{};
       double best_candidate = best_metric;
 
+      // Decided without a probe (DESIGN.md §6): when neither the node nor a
+      // graph neighbour lies on the committed critical chain, a move whose
+      // steps 2-3 stay local re-reads no chain layer, so its makespan is
+      // not below the committed one and the probe would reject it.
+      const bool off_chain = cut_probes && !inc.near_critical_chain(node);
+
       for (const AccId dst : candidates.out) {
         ++stats.attempts;
+        if (off_chain && delta.move_is_local(node, src, dst)) continue;
         mapping.begin_journal();
         plan.begin_journal();
         delta.begin_probe(src, dst);

@@ -16,9 +16,11 @@
 // schedule journal, and no queue surgery (the paper's sub-second search
 // times depend on this; see bench_ablation_remap_probe). Under the Latency
 // objective a probe also stops its retime sweep at the committed critical
-// chain once the makespan provably cannot shrink, which changes no decision
-// (DESIGN.md §6). The tests check this loop against a copy-and-resimulate
-// reference search bit for bit.
+// chain once the makespan provably cannot shrink, and a move is rejected
+// without any probe when neither the layer nor a graph neighbour lies on
+// that chain and its steps 2-3 provably stay on the layer's neighbourhood.
+// Neither changes a decision (DESIGN.md §6). The tests check this loop
+// against a copy-and-resimulate reference search bit for bit.
 #pragma once
 
 #include <chrono>
@@ -58,12 +60,18 @@ struct RemapOptions {
 
 struct RemapStats {
   std::uint32_t passes = 0;
+  /// Candidate moves decided, whether probed or rejected without a probe
+  /// (DESIGN.md §6), so it matches the reference search's count. Under the
+  /// latency objective about half of them run no probe. The benchmark's
+  /// remapping.probes reads this count, and remapping.us_per_probe divides
+  /// step-4 time by it, so that reads below the cost of one probe.
   std::uint32_t attempts = 0;
   std::uint32_t accepted = 0;
   /// Node re-timings the incremental schedule performed across all probes
   /// and accepted moves — the bench's work accounting. A probe the
   /// critical-chain cut stops counts only the visits made before the cut,
-  /// so readings from before the cut and after it do not compare.
+  /// and a move rejected without a probe counts none, so readings from
+  /// before either and after it do not compare.
   std::uint64_t retimes = 0;
   /// Knapsack-cache accounting: solver runs avoided / paid on the delta
   /// path's full-pass fallbacks (the source-accelerator instance repeats

@@ -24,7 +24,9 @@ constexpr std::uint32_t kMaxRounds = 64;
 // Co-mapping time grows steeply with the tenant count, so one request line
 // may not ask for more tenants than this.
 constexpr std::size_t kMaxTenants = 8;
-constexpr double kUnbounded = std::numeric_limits<double>::infinity();
+// Accelerator indices and group sizes are read into uint32_t; a larger
+// number would not convert, so it is a bad field like any other.
+constexpr double kMaxU32 = std::numeric_limits<std::uint32_t>::max();
 
 [[nodiscard]] std::string known_zoo_keys() {
   std::string keys;
@@ -230,7 +232,7 @@ bool is_tenant_name(const json::Value& v) {
           }
           Fields e(entry.as_object(), "links.overrides.");
           const json::Value& acc = e.required(
-              "acc", integer_in(0, kUnbounded), "a non-negative integer");
+              "acc", integer_in(0, kMaxU32), "an integer in [0, 4294967295]");
           const json::Value& acc_bw =
               e.required("bw_gbps", is_number, "a number");
           e.finish();
@@ -240,8 +242,9 @@ bool is_tenant_name(const json::Value& v) {
       }
       out = Interconnect::mixed(gbps(bw), std::move(overrides));
     } else if (kind == "hierarchical") {
-      const json::Value& group = links.required(
-          "group_size", integer_in(1, kUnbounded), "a positive integer");
+      const json::Value& group =
+          links.required("group_size", integer_in(1, kMaxU32),
+                         "an integer in [1, 4294967295]");
       Interconnect::HierarchicalSpec spec;
       spec.group_size = static_cast<std::uint32_t>(group.as_number());
       spec.intra_bw = gbps(number("intra_gbps", true));
@@ -541,8 +544,8 @@ void read_scenario(Fields& root, Request& req) {
   }
   FaultEvent event;
   event.kind = *kind;
-  const json::Value& acc = fields.required("acc", integer_in(0, kUnbounded),
-                                          "a non-negative integer");
+  const json::Value& acc = fields.required("acc", integer_in(0, kMaxU32),
+                                          "an integer in [0, 4294967295]");
   event.acc = AccId{static_cast<std::uint32_t>(acc.as_number())};
   const std::string_view kind_name = to_string(event.kind);
   const json::Value* scale = fields.find("scale");

@@ -42,6 +42,10 @@ void IncrementalSchedule::reset(const Mapping& m, const LocalityPlan& plan) {
   ov_stamp_.assign(model.layer_count(), kOverlaySentinel);
   probe_epoch_ = 0;
   probe_cut_ = false;
+  // The old chain's seqs may not survive the re-sequencing below, so its
+  // marks are cleared here rather than by the next rebuild.
+  chain_.clear();
+  chain_mark_.assign(model.layer_count(), 0);
   chain_stale_ = true;
 
   // Sequence numbers of a complete mapping are dense in [0, V) and never
@@ -322,6 +326,7 @@ bool IncrementalSchedule::probe_retime(bool cut) {
 }
 
 void IncrementalSchedule::rebuild_chain() {
+  for (const std::uint32_t s : chain_) chain_mark_[by_seq_[s].value] = 0;
   chain_.clear();
   chain_stale_ = false;
   LayerId x{};
@@ -336,6 +341,7 @@ void IncrementalSchedule::rebuild_chain() {
   // where that predecessor is a host input.
   while (x.valid()) {
     chain_.push_back(seq_[x.value]);
+    chain_mark_[x.value] = 1;
     const double start = timings_[x.value].start;
     if (start == 0.0) break;
     LayerId next = queue_prev(x);
@@ -351,6 +357,17 @@ void IncrementalSchedule::rebuild_chain() {
     x = next;
   }
   std::reverse(chain_.begin(), chain_.end());
+}
+
+bool IncrementalSchedule::near_critical_chain(LayerId node) {
+  H2H_EXPECTS(node.value < chain_mark_.size());
+  if (chain_stale_) rebuild_chain();
+  const auto on_chain = [this](LayerId id) {
+    return chain_mark_[id.value] != 0;
+  };
+  const Digraph& g = sim_->model().graph();
+  return on_chain(node) || std::ranges::any_of(g.preds(node), on_chain) ||
+         std::ranges::any_of(g.succs(node), on_chain);
 }
 
 double IncrementalSchedule::probe_remap(const Mapping& m,

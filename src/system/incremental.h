@@ -15,11 +15,14 @@
 // all reused members, so steady-state candidate evaluation allocates nothing
 // here.
 //
-// Critical-chain cut: the class also keeps one critical chain of the
-// committed schedule, rebuilt lazily after a committed change. A probe that
-// asks for the cut stops its sweep at the first chain layer beyond every
+// Critical chain: the class also keeps one critical chain of the committed
+// schedule, as ascending seqs plus a per-layer mark, rebuilt lazily after a
+// committed change. It serves two readers (DESIGN.md §6). A probe that asks
+// for the cut stops its sweep at the first chain layer beyond every
 // refreshed layer that does not finish earlier, since from there on the
-// makespan cannot shrink (see probe_remap and DESIGN.md §6).
+// makespan cannot shrink (see probe_remap). The step-4 loop reads the marks
+// through near_critical_chain to reject, without probing, moves that re-read
+// no chain layer.
 //
 // Equivalence with Simulator::simulate is asserted in tests (the step-4
 // reference search re-simulates every probe from scratch).
@@ -87,6 +90,13 @@ class IncrementalSchedule {
   /// the next probe_remap/apply/reset, and only after a probe that was not
   /// cut.
   [[nodiscard]] EnergyBreakdown probe_energy(const Mapping& m) const;
+
+  /// True when `node` or one of its graph predecessors or successors lies on
+  /// the committed critical chain (rebuilt first if a committed change made
+  /// it stale). When it is false, a move of `node` whose re-read layers stay
+  /// within that neighbourhood keeps every chain layer's duration and chain
+  /// edge, so its makespan is >= latency() (DESIGN.md §6).
+  [[nodiscard]] bool near_critical_chain(LayerId node);
 
   /// Start recording timing and queue changes. One journal at a time.
   void begin_journal();
@@ -186,9 +196,11 @@ class IncrementalSchedule {
 
   // One critical chain of the committed schedule as ascending seqs: from the
   // latest-finishing queue tail back through queue or graph predecessors
-  // whose finish equals the layer's start. Every committed change marks it
-  // stale; the next cutting probe rebuilds it.
+  // whose finish equals the layer's start. chain_mark_ flags its layers
+  // (indexed by LayerId::value). Every committed change marks the chain
+  // stale; the next cutting probe or near_critical_chain rebuilds both.
   std::vector<std::uint32_t> chain_;
+  std::vector<std::uint8_t> chain_mark_;
   bool chain_stale_ = true;
 
   // Journal. Timings are saved once per (journal, node) via an epoch stamp;

@@ -26,6 +26,15 @@ struct CutTally {
   std::uint64_t shorter_uncut = 0;  // uncut probes below the committed makespan
 };
 
+// Moves the step-4 loop decides without a probe, and the locality
+// predicate's answers (see the final loop of
+// DeltaProbesMatchFullPassesAndMemberLists).
+struct UnprobedTally {
+  std::uint64_t decided = 0;    // off the chain and local
+  std::uint64_t local = 0;      // move_is_local answered true
+  std::uint64_t not_local = 0;  // ... and false
+};
+
 // Probes the move that `mapping`, `plan` and `dirty` hold, first with the
 // full sweep and then with the critical-chain cut, and returns the full
 // makespan. The cut returns +infinity only when that makespan is not below
@@ -397,11 +406,22 @@ TEST_P(PipelineProperty, DeltaProbesMatchFullPassesAndMemberLists) {
   ASSERT_DOUBLE_EQ(inc.latency(), sim.simulate(mapping, plan).latency);
 
   // Every single move from the final state, probed with and without the cut.
+  // A move the step-4 loop decides without a probe (neither the node nor a
+  // graph neighbour on the committed critical chain, and move_is_local) must
+  // flip flags only on the node and its neighbours, take no full step-2/3
+  // pass, and not shorten the makespan.
+  UnprobedTally unprobed;
   for (const LayerId node : layers) {
     if (model.layer(node).kind == LayerKind::Input) continue;
     const AccId src = mapping.acc_of(node);
+    const bool off_chain = !inc.near_critical_chain(node);
+    const auto preds = model.graph().preds(node);
+    const auto succs = model.graph().succs(node);
     for (const AccId dst : sys.supporting(model.layer(node).kind)) {
       if (dst == src) continue;
+      const bool local = delta.move_is_local(node, src, dst);
+      ++(local ? unprobed.local : unprobed.not_local);
+      const RemapDeltaStats before = delta.stats();
       mapping.begin_journal();
       plan.begin_journal();
       delta.begin_probe(src, dst);
@@ -409,8 +429,21 @@ TEST_P(PipelineProperty, DeltaProbesMatchFullPassesAndMemberLists) {
       delta.apply_move(mapping, plan, node, src, dst);
       dirty.clear();
       plan.journal_touched_layers(model, dirty);
+      if (local) {
+        EXPECT_EQ(delta.stats().full_weight, before.full_weight);
+        EXPECT_EQ(delta.stats().full_fusion, before.full_fusion);
+        for (const LayerId id : dirty)
+          EXPECT_TRUE(id == node || std::ranges::count(preds, id) > 0 ||
+                      std::ranges::count(succs, id) > 0)
+              << "layer " << id.value << " moving " << node.value;
+      }
       (void)probe_with_and_without_cut(inc, mapping, plan, node, src, dirty,
                                        tally);
+      if (off_chain && local) {
+        ++unprobed.decided;
+        EXPECT_GE(sim.simulate(mapping, plan).latency, inc.latency())
+            << "moving " << node.value << " to " << dst.value;
+      }
       delta.rollback_probe();
       plan.rollback_journal();
       mapping.rollback_journal();
@@ -421,12 +454,20 @@ TEST_P(PipelineProperty, DeltaProbesMatchFullPassesAndMemberLists) {
   // uncut probe that shortens the makespan. A cut needs a chain layer beyond
   // every refreshed layer, which the smallest random models never offer, so
   // cuts are counted over the seeds this process ran (ctest runs each seed
-  // alone) and checked once, by the last seed.
+  // alone) and checked once, by the last seed. The moves decided without a
+  // probe and both answers of move_is_local are counted the same way.
   EXPECT_GT(tally.shorter_uncut, 0u);
   static std::uint64_t cut_probes_all_seeds = 0;
+  static UnprobedTally unprobed_all_seeds;
   cut_probes_all_seeds += tally.cut;
+  unprobed_all_seeds.decided += unprobed.decided;
+  unprobed_all_seeds.local += unprobed.local;
+  unprobed_all_seeds.not_local += unprobed.not_local;
   if (GetParam() == kLastSeed) {
     EXPECT_GT(cut_probes_all_seeds, 0u);
+    EXPECT_GT(unprobed_all_seeds.decided, 0u);
+    EXPECT_GT(unprobed_all_seeds.local, 0u);
+    EXPECT_GT(unprobed_all_seeds.not_local, 0u);
   }
 }
 

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <utility>
+#include <vector>
 
+#include "accel/analytical_models.h"
 #include "core/comp_prioritized.h"
 #include "core/remapping.h"
 #include "test_helpers.h"
@@ -120,12 +123,14 @@ TEST(Remapping, KnapsackCacheReusesSourceSolvesUnderPressure) {
   EXPECT_GT(zoo_hits, 0u);
 }
 
-// Work counters of the step-4 loop on the 12 uniform-fixture cells (zoo x
-// {Low-, Mid}, the cells ci/uniform_fixtures pins byte for byte). attempts
-// and accepted are the search's decisions, which the critical-chain cut in
-// the probes leaves unchanged. retimes counts schedule visits, and the cut
-// keeps it low: without it vlocnet @ Low- reads 150,452, not 35,208. A change
-// that stops the cut from firing passes every exactness pin but fails here.
+// Work counters of the step-4 loop on 12 of the 30 cells ci/uniform_fixtures
+// pins byte for byte (zoo x {Low-, Mid}). attempts and accepted are the
+// search's decisions, which neither the critical-chain cut in the probes nor
+// the moves decided without a probe change (attempts counts both). retimes
+// counts schedule visits, and both keep it low: without the cut vlocnet @
+// Low- reads 150,452, without the unprobed decisions 35,208, with both
+// 29,972. A change that stops either from firing passes every exactness pin
+// but fails here.
 TEST(Remapping, WorkCountersOnUniformFixtureCells) {
   struct Cell {
     ZooModel model;
@@ -137,18 +142,18 @@ TEST(Remapping, WorkCountersOnUniformFixtureCells) {
   constexpr BandwidthSetting kLowMinus = BandwidthSetting::LowMinus;
   constexpr BandwidthSetting kMid = BandwidthSetting::Mid;
   const Cell cells[] = {
-      {ZooModel::VLocNet, kLowMinus, 1632, 94, 35208},
-      {ZooModel::VLocNet, kMid, 2516, 105, 41751},
-      {ZooModel::CasiaSurf, kLowMinus, 508, 46, 5524},
-      {ZooModel::CasiaSurf, kMid, 316, 20, 2632},
-      {ZooModel::Vfs, kLowMinus, 80, 2, 605},
-      {ZooModel::Vfs, kMid, 80, 2, 605},
-      {ZooModel::FaceBag, kLowMinus, 729, 43, 7212},
-      {ZooModel::FaceBag, kMid, 512, 41, 5819},
+      {ZooModel::VLocNet, kLowMinus, 1632, 94, 29972},
+      {ZooModel::VLocNet, kMid, 2516, 105, 33617},
+      {ZooModel::CasiaSurf, kLowMinus, 508, 46, 4372},
+      {ZooModel::CasiaSurf, kMid, 316, 20, 1863},
+      {ZooModel::Vfs, kLowMinus, 80, 2, 55},
+      {ZooModel::Vfs, kMid, 80, 2, 55},
+      {ZooModel::FaceBag, kLowMinus, 729, 43, 5369},
+      {ZooModel::FaceBag, kMid, 512, 41, 4698},
       {ZooModel::CnnLstm, kLowMinus, 28, 7, 175},
-      {ZooModel::CnnLstm, kMid, 27, 6, 172},
-      {ZooModel::MoCap, kLowMinus, 40, 8, 265},
-      {ZooModel::MoCap, kMid, 26, 5, 166},
+      {ZooModel::CnnLstm, kMid, 27, 6, 138},
+      {ZooModel::MoCap, kLowMinus, 40, 8, 215},
+      {ZooModel::MoCap, kMid, 26, 5, 115},
   };
   for (const Cell& c : cells) {
     Prepared p = prepare(make_model(c.model), SystemConfig::standard(c.bw));
@@ -160,6 +165,77 @@ TEST(Remapping, WorkCountersOnUniformFixtureCells) {
     EXPECT_EQ(stats.attempts, c.attempts) << cell;
     EXPECT_EQ(stats.accepted, c.accepted) << cell;
     EXPECT_EQ(stats.retimes, c.retimes) << cell;
+  }
+}
+
+// move_is_local must count the buffers of the edges a move makes
+// co-located, on both sides of the moved layer. Each case moves one layer
+// from U0 (room for everything) to U1, whose capacity is either one byte
+// short of what U1 then holds (its weights plus the new buffers), so step 3
+// there takes its full pass and the move is not local, or the predicate's
+// own bound (every incident edge counted), where both passes stay local.
+TEST(Remapping, LocalMovePredicateCountsNewBuffers) {
+  struct Case {
+    ModelGraph model;
+    std::vector<std::uint32_t> accs;  // per non-input layer, in id order
+    LayerId node;
+    std::vector<LayerId> beside;  // U1 before the move: node neighbours
+  };
+  Case cases[] = {
+      // chain: convB joins convA, so convA->convB fuses (an in-edge).
+      {testing::make_chain_model(), {1, 0, 0}, LayerId{2}, {LayerId{1}}},
+      // diamond: a joins b and c, so a->b and a->c fuse (two out-edges).
+      {testing::make_diamond_model(),
+       {0, 1, 1, 0, 0},
+       LayerId{1},
+       {LayerId{2}, LayerId{3}}},
+  };
+  for (const Case& c : cases) {
+    const ModelGraph& m = c.model;
+    const auto on_u1 = [&c](LayerId id) {
+      return std::ranges::count(c.beside, id) > 0;
+    };
+    // What U1 holds after the move, and move_is_local's bound on it.
+    Bytes fits = m.weight_bytes(c.node);
+    for (const LayerId b : c.beside) fits += m.weight_bytes(b);
+    Bytes bound = fits;
+    for (const LayerId p : m.graph().preds(c.node)) {
+      bound += m.edge_bytes(p);
+      if (on_u1(p)) fits += m.edge_bytes(p);
+    }
+    for (const LayerId s : m.graph().succs(c.node)) {
+      bound += m.edge_bytes(c.node);
+      if (on_u1(s)) fits += m.edge_bytes(c.node);
+    }
+    ASSERT_LT(fits, bound) << m.name();
+
+    for (const Bytes capacity : {fits - 1, bound}) {
+      std::vector<AcceleratorPtr> accs;
+      accs.push_back(make_analytical(testing::simple_spec("U0", gib(1))));
+      accs.push_back(make_analytical(testing::simple_spec("U1", capacity)));
+      const SystemConfig sys(std::move(accs), HostParams{});
+      const Simulator sim(m, sys);
+      Mapping mapping(m);
+      std::size_t k = 0;
+      for (const LayerId id : m.all_layers())
+        if (m.layer(id).kind != LayerKind::Input)
+          mapping.assign(id, AccId{c.accs[k++]});
+      LocalityPlan plan(m);
+      plan.ensure_acc_count(2);
+      optimize_weight_locality(sim, mapping, plan);
+      optimize_activation_fusion(sim, mapping, plan);
+
+      RemapDeltaState delta(sim, {}, {});
+      delta.init(mapping, plan);
+      const std::string at = m.name() + " @ " + std::to_string(capacity);
+      const bool local = delta.move_is_local(c.node, AccId{0}, AccId{1});
+      EXPECT_EQ(local, capacity == bound) << at;
+      delta.begin_probe(AccId{0}, AccId{1});
+      mapping.reassign(c.node, AccId{1});
+      delta.apply_move(mapping, plan, c.node, AccId{0}, AccId{1});
+      EXPECT_EQ(delta.stats().full_weight, 0u) << at;
+      EXPECT_EQ(delta.stats().full_fusion, local ? 0u : 1u) << at;
+    }
   }
 }
 

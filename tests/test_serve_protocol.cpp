@@ -275,6 +275,18 @@ TEST(ServeProtocolLinks, RejectsConflictsAndBadShapes) {
                       R"("overrides":[{"acc":-1,"bw_gbps":1}]}})")
                 .code,
             ErrorCode::BadField);
+  // Integers past uint32_t do not wrap (to acc 0, to a group of 1).
+  EXPECT_EQ(parse_err(R"({"schema_version":1,"model":"mocap",)"
+                      R"("links":{"shape":"mixed","bw_gbps":0.5,)"
+                      R"("overrides":[{"acc":4294967296,"bw_gbps":1.25}]}})")
+                .code,
+            ErrorCode::BadField);
+  EXPECT_EQ(parse_err(R"({"schema_version":1,"model":"mocap",)"
+                      R"("links":{"shape":"hierarchical",)"
+                      R"("group_size":4294967297,"intra_gbps":1.25,)"
+                      R"("uplink_gbps":0.5}})")
+                .code,
+            ErrorCode::BadField);
   EXPECT_EQ(parse_err(R"({"schema_version":1,"model":"mocap",)"
                       R"("links":{"shape":"hierarchical","group_size":4,)"
                       R"("intra_gbps":1.25}})")

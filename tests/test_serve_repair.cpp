@@ -100,6 +100,9 @@ TEST(ServeRepairProtocol, RejectsMalformedRepairObjects) {
       R"({"schema_version":1,"repair":{"event":"acc_lost"}})",
       R"({"schema_version":1,"repair":{"event":"meteor_strike","acc":0}})",
       R"({"schema_version":1,"repair":{"event":"acc_lost","acc":-1}})",
+      // An index past uint32_t does not wrap to accelerator 0.
+      R"({"schema_version":1,"model":"mocap",)"
+      R"("repair":{"event":"acc_lost","acc":4294967296}})",
       // Scale rules: required for scaled kinds, rejected otherwise.
       R"({"schema_version":1,"repair":{"event":"link_degraded","acc":0}})",
       R"({"schema_version":1,)"
