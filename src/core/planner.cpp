@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstring>
 #include <string_view>
 #include <utility>
 
@@ -42,26 +41,6 @@ using Clock = std::chrono::steady_clock;
 [[nodiscard]] std::uint64_t zoo_session_key(ZooModel id) {
   return fnv_mix(fnv_mix(1469598103934665603ULL, std::string_view("zoo")),
                  static_cast<std::uint64_t>(id));
-}
-
-/// Shard selector over the full session key (model, batch, bw, links).
-[[nodiscard]] std::uint64_t session_shard_hash(
-    std::uint64_t model_key, std::uint32_t batch, double bw,
-    std::uint64_t links_fp) noexcept {
-  std::uint64_t h = fnv_mix(1469598103934665603ULL, model_key);
-  h = fnv_mix(h, batch);
-  std::uint64_t bw_bits = 0;
-  static_assert(sizeof(bw_bits) == sizeof(bw));
-  std::memcpy(&bw_bits, &bw, sizeof(bw_bits));
-  h = fnv_mix(h, bw_bits);
-  return fnv_mix(h, links_fp);
-}
-
-[[nodiscard]] std::size_t per_shard_capacity(
-    const PlannerOptions& options) noexcept {
-  const std::size_t shards = std::max<std::size_t>(1, options.shards);
-  const std::size_t cap = std::max<std::size_t>(1, options.max_sessions);
-  return std::max<std::size_t>(1, (cap + shards - 1) / shards);
 }
 
 }  // namespace
@@ -186,47 +165,37 @@ PlanResponse run_passes(const Simulator& sim, const PassPipeline& pipeline,
   return r;
 }
 
+/// A session's cache key: the model (zoo key or graph fingerprint), the
+/// batch, BW_acc, and the links parameters fingerprint. In shared-system
+/// mode BW_acc and links are the shared system's business and key as 0.
+struct Planner::Key {
+  std::uint64_t model = 0;
+  std::uint32_t batch = 1;
+  double bw_acc = 0;
+  std::uint64_t links_fp = 0;  // 0 = scalar/shared request
+
+  [[nodiscard]] friend bool operator==(const Key&, const Key&) = default;
+};
+
 /// One cached scenario: an owned model copy (at the request batch), the
 /// system it runs on (owned at the request BW_acc, or the Planner-wide
-/// shared one), and the Simulator whose CostTable is the reusable state.
-/// Shared ownership: the cache holds one reference and every in-flight
-/// request holds another, so evicting a session another thread is planning
-/// on only drops the cache's reference. Once built, a session is read-only
-/// (the one exception — the shared-system lazy CostTable rebuild — happens
-/// under the shard lock in checkout(), before the session is handed out).
+/// shared one), the Simulator whose CostTable is the reusable state, and the
+/// caller's state slot. Shared ownership: the cache holds one reference and
+/// every in-flight request holds another, so evicting a session another
+/// thread is planning on only drops the cache's reference. Once built, a
+/// session is read-only (the exceptions — the shared-system lazy CostTable
+/// rebuild and the state slot — happen under mu_).
 struct Planner::Session {
-  std::uint64_t model_key = 0;
-  double bw_acc = 0;  // key component; 0 in shared-system mode
-  std::uint32_t batch = 1;
-  std::uint64_t links_fp = 0;  // key component; 0 = scalar/shared request
+  Key key;
   std::optional<ModelGraph> model;
   std::optional<SystemConfig> owned_sys;
   const SystemConfig* sys = nullptr;
   std::optional<Simulator> sim;
-
-  [[nodiscard]] bool matches(std::uint64_t key, std::uint32_t b, double bw,
-                             std::uint64_t lfp) const noexcept {
-    return model_key == key && batch == b && bw_acc == bw && links_fp == lfp;
-  }
-};
-
-/// One lock shard of the session cache: an independent LRU list under its
-/// own mutex. Sessions hash to a shard by key, so requests for different
-/// shards never contend, and the per-shard mutex is held only for the
-/// list scan / insert / evict — never across a pipeline run or a cold
-/// session build.
-struct Planner::Shard {
-  mutable std::mutex mu;
-  std::vector<std::shared_ptr<Session>> lru;  // most recently used first
+  std::shared_ptr<const void> state;  // with_session_state; guarded by mu_
 };
 
 Planner::Planner() : Planner(PlannerOptions{}) {}
-Planner::Planner(PlannerOptions options) : options_(std::move(options)) {
-  const std::size_t n = std::max<std::size_t>(1, options_.shards);
-  shards_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i)
-    shards_.push_back(std::make_unique<Shard>());
-}
+Planner::Planner(PlannerOptions options) : options_(std::move(options)) {}
 Planner::Planner(const SystemConfig& shared_system) : Planner([&] {
   PlannerOptions options;
   options.shared_system = &shared_system;
@@ -234,95 +203,73 @@ Planner::Planner(const SystemConfig& shared_system) : Planner([&] {
 }()) {}
 Planner::~Planner() = default;
 
-// Manual moves: the hit/miss counters are atomics (not movable); shards move
-// by pointer. A moved-from Planner may only be destroyed or assigned to.
-Planner::Planner(Planner&& other) noexcept
-    : options_(std::move(other.options_)),
-      shards_(std::move(other.shards_)),
-      hits_(other.hits_.load(std::memory_order_relaxed)),
-      misses_(other.misses_.load(std::memory_order_relaxed)) {}
-
-Planner& Planner::operator=(Planner&& other) noexcept {
-  if (this != &other) {
-    options_ = std::move(other.options_);
-    shards_ = std::move(other.shards_);
-    hits_.store(other.hits_.load(std::memory_order_relaxed),
-                std::memory_order_relaxed);
-    misses_.store(other.misses_.load(std::memory_order_relaxed),
-                  std::memory_order_relaxed);
-  }
-  return *this;
-}
-
 std::size_t Planner::session_count() const noexcept {
-  std::size_t n = 0;
-  for (const std::unique_ptr<Shard>& shard : shards_) {
-    const std::lock_guard<std::mutex> lock(shard->mu);
-    n += shard->lru.size();
-  }
-  return n;
+  const std::scoped_lock lock(mu_);
+  return lru_.size();
 }
 
 void Planner::clear_sessions() noexcept {
-  for (const std::unique_ptr<Shard>& shard : shards_) {
-    const std::lock_guard<std::mutex> lock(shard->mu);
-    shard->lru.clear();
-  }
+  std::vector<std::shared_ptr<Session>> dropped;  // destroyed after unlock
+  const std::scoped_lock lock(mu_);
+  dropped.swap(lru_);
 }
 
-Planner::Shard& Planner::shard_for(std::uint64_t key_hash) const noexcept {
-  return *shards_[key_hash % shards_.size()];
+Planner::Key Planner::key_of(const PlanRequest& request) const {
+  H2H_EXPECTS(request.model.has_value() != (request.graph != nullptr));
+  Key key;
+  key.model = request.model ? zoo_session_key(*request.model)
+                            : model_fingerprint(*request.graph);
+  key.batch = request.batch;
+  if (key.batch == 0) {
+    key.batch = request.graph != nullptr ? request.graph->batch() : 1;
+  }
+  // In shared-system mode the bandwidth/topology are the shared system's
+  // business: sessions key on the model alone and follow the system's lazy
+  // CostTable-rebuild semantics if its BW_acc moves.
+  if (options_.shared_system == nullptr) {
+    key.bw_acc = request.bw_acc;
+    if (request.links) key.links_fp = request.links->params_fingerprint();
+  }
+  return key;
+}
+
+std::shared_ptr<Planner::Session> Planner::touch(const Key& key) {
+  const auto it = std::find_if(
+      lru_.begin(), lru_.end(),
+      [&key](const std::shared_ptr<Session>& s) { return s->key == key; });
+  if (it == lru_.end()) return nullptr;
+  std::rotate(lru_.begin(), it, it + 1);  // most recent first
+  return lru_.front();
 }
 
 std::shared_ptr<Planner::Session> Planner::session_for(
     const PlanRequest& request, double& setup_seconds, bool& warm) {
-  H2H_EXPECTS(request.model.has_value() != (request.graph != nullptr));
+  const Key key = key_of(request);
 
-  const std::uint64_t model_key = request.model
-                                      ? zoo_session_key(*request.model)
-                                      : model_fingerprint(*request.graph);
-  std::uint32_t batch = request.batch;
-  if (batch == 0) batch = request.graph != nullptr ? request.graph->batch() : 1;
-  // In shared-system mode the bandwidth/topology are the shared system's
-  // business: sessions key on the model alone and follow the system's lazy
-  // CostTable-rebuild semantics if its BW_acc moves.
-  const double bw_key =
-      options_.shared_system != nullptr ? 0.0 : request.bw_acc;
-  const std::uint64_t links_key =
-      options_.shared_system == nullptr && request.links
-          ? request.links->params_fingerprint()
-          : 0;
-
-  const auto checkout = [&](Shard& shard) -> std::shared_ptr<Session> {
-    // Caller holds shard.mu.
-    for (auto it = shard.lru.begin(); it != shard.lru.end(); ++it) {
-      if (!(*it)->matches(model_key, batch, bw_key, links_key)) continue;
-      std::rotate(shard.lru.begin(), it, it + 1);  // most recent first
-      const std::shared_ptr<Session>& front = shard.lru.front();
-      if (front->sim->costs_fresh()) {
-        warm = true;
-        setup_seconds = 0;
-      } else {
-        // Shared-system mode and the borrowed system's knobs moved
-        // (set_bw_acc): rebuild now — under the shard lock, so the handed-
-        // out Simulator is always fresh and read-only — billing the cost to
-        // setup_seconds, not the search-time window, and the response is
-        // not misreported as warm.
-        const auto t0 = Clock::now();
-        (void)front->sim->costs();
-        setup_seconds = seconds_since(t0);
-        warm = false;
-      }
-      return front;
+  // Caller holds mu_.
+  const auto checkout = [&]() -> std::shared_ptr<Session> {
+    std::shared_ptr<Session> hit = touch(key);
+    if (hit == nullptr) return nullptr;
+    if (hit->sim->costs_fresh()) {
+      warm = true;
+      setup_seconds = 0;
+    } else {
+      // Shared-system mode and the borrowed system's knobs moved
+      // (set_bw_acc): rebuild now — under the cache lock, so the handed-out
+      // Simulator is always fresh and read-only — billing the cost to
+      // setup_seconds, not the search-time window, and the response is not
+      // misreported as warm.
+      const auto t0 = Clock::now();
+      (void)hit->sim->costs();
+      setup_seconds = seconds_since(t0);
+      warm = false;
     }
-    return nullptr;
+    return hit;
   };
 
-  Shard& shard =
-      shard_for(session_shard_hash(model_key, batch, bw_key, links_key));
   {
-    const std::lock_guard<std::mutex> lock(shard.mu);
-    if (std::shared_ptr<Session> hit = checkout(shard)) {
+    const std::scoped_lock lock(mu_);
+    if (std::shared_ptr<Session> hit = checkout()) {
       hits_.fetch_add(1, std::memory_order_relaxed);
       return hit;
     }
@@ -335,13 +282,10 @@ std::shared_ptr<Planner::Session> Planner::session_for(
   warm = false;
   const auto t0 = Clock::now();
   auto s = std::make_shared<Session>();
-  s->model_key = model_key;
-  s->batch = batch;
-  s->bw_acc = bw_key;
-  s->links_fp = links_key;
+  s->key = key;
   s->model.emplace(request.model ? make_model(*request.model)
                                  : *request.graph);
-  s->model->set_batch(batch);
+  s->model->set_batch(key.batch);
   if (request.validate_model) s->model->validate();
   if (options_.shared_system != nullptr) {
     s->sys = options_.shared_system;
@@ -360,29 +304,52 @@ std::shared_ptr<Planner::Session> Planner::session_for(
 
   const double paid_setup = setup_seconds;
   std::size_t cached = 0;
+  std::shared_ptr<Session> evicted;  // destroyed after unlock
   {
-    const std::lock_guard<std::mutex> lock(shard.mu);
+    const std::scoped_lock lock(mu_);
     // Another thread may have built the same key while we did: keep the
     // first insert as the canonical session and discard ours (this request
     // still reports the cold build it actually paid).
-    if (std::shared_ptr<Session> raced = checkout(shard)) {
+    if (std::shared_ptr<Session> raced = checkout()) {
       warm = false;
       setup_seconds = paid_setup;
       return raced;
     }
-    shard.lru.insert(shard.lru.begin(), s);
-    // Explicit LRU eviction, after the finished session went in: pop
-    // expired entries off the cold end. In-flight requests keep evicted
-    // sessions alive through their own shared_ptr reference.
-    const std::size_t cap = per_shard_capacity(options_);
-    while (shard.lru.size() > cap) shard.lru.pop_back();
-    cached = shard.lru.size();
+    lru_.insert(lru_.begin(), s);
+    // Explicit LRU eviction, after the finished session went in: pop the
+    // cold end. In-flight requests keep an evicted session alive through
+    // their own shared_ptr reference.
+    if (lru_.size() > std::max<std::size_t>(1, options_.max_sessions)) {
+      evicted = std::move(lru_.back());
+      lru_.pop_back();
+    }
+    cached = lru_.size();
   }
   log_debug(strformat("Planner: built session for '%s' (bw=%.3g batch=%u) "
-                      "in %.3fs, %zu cached in shard",
-                      s->model->name().c_str(), s->sys->host().bw_acc, batch,
-                      setup_seconds, cached));
+                      "in %.3fs, %zu cached",
+                      s->model->name().c_str(), s->sys->host().bw_acc,
+                      key.batch, setup_seconds, cached));
   return s;
+}
+
+std::shared_ptr<const Simulator> Planner::simulator(
+    const PlanRequest& request) {
+  double setup_seconds = 0;
+  bool warm = false;
+  std::shared_ptr<Session> session = session_for(request, setup_seconds, warm);
+  const Simulator* sim = &*session->sim;
+  return {std::move(session), sim};
+}
+
+bool Planner::with_session_state(
+    const PlanRequest& request,
+    const std::function<void(std::shared_ptr<const void>&)>& fn) {
+  const Key key = key_of(request);
+  const std::scoped_lock lock(mu_);
+  const std::shared_ptr<Session> session = touch(key);
+  if (session == nullptr) return false;
+  fn(session->state);
+  return true;
 }
 
 PlanResponse Planner::plan(const PlanRequest& request) {

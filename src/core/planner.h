@@ -6,9 +6,9 @@
 // or modality changes. A Planner makes that cheap in practice: it owns a
 // cache of constructed Simulator/CostTable state keyed by (model, BW_acc,
 // batch, link topology), so consecutive PlanRequests for the same scenario
-// skip the cold-start cost-table build entirely. A warm plan() performs zero virtual
-// AcceleratorModel calls and no CostTable rebuild (regression-tested with
-// counting models in test_planner.cpp).
+// skip the cold-start cost-table build entirely. A warm plan() performs zero
+// virtual AcceleratorModel calls and no CostTable rebuild (regression-tested
+// with counting models in test_planner.cpp).
 //
 // Typical usage:
 //
@@ -26,15 +26,20 @@
 // plan() without an explicit pipeline assembles the paper's four steps from
 // the request's toggles.
 //
+// The cache is one least-recently-used list of at most max_sessions
+// sessions. A session can also carry one opaque state pointer for its
+// caller (with_session_state; `h2h serve` keeps a scenario's latest plan and
+// repair chain there), which is evicted together with the session.
+//
 // Thread safety (DESIGN.md §8): concurrent plan() calls on one Planner are
-// safe. The session cache is sharded by session key (one mutex per shard);
-// each in-flight request gets its own mutable Mapping/LocalityPlan/
+// safe. One mutex guards the list, held only to find, insert or evict a
+// session; each in-flight request gets its own mutable Mapping/LocalityPlan/
 // PassContext, and a session's Simulator/CostTable are read-only once built,
-// so N threads can answer from the same warm session without contention.
-// Sessions are reference-counted: evicting one that another thread is still
-// planning on only drops the cache's reference. The one sharing caveat is
-// shared-system mode: mutating the borrowed SystemConfig (set_bw_acc) while
-// requests are in flight is a data race and is forbidden — quiesce first.
+// so N threads can answer from the same warm session at once. Sessions are
+// reference-counted: evicting one that another thread is still planning on
+// only drops the cache's reference. The one sharing caveat is shared-system
+// mode: mutating the borrowed SystemConfig (set_bw_acc) while requests are
+// in flight is a data race and is forbidden — quiesce first.
 #pragma once
 
 #include <atomic>
@@ -188,15 +193,10 @@ struct PlannerOptions {
   /// that response's setup_seconds, with warm = false. Must outlive the
   /// Planner.
   const SystemConfig* shared_system = nullptr;
-  /// Session-cache capacity (least-recently-used eviction). The default
-  /// holds the full paper sweep (6 models x 5 bandwidths) twice over.
-  /// Capacity is enforced per shard at ceil(max_sessions / shards), so a
-  /// skewed key distribution evicts earlier than a global LRU would.
+  /// Session-cache capacity: one least-recently-used list, at least 1. The
+  /// default holds the full paper sweep (6 models x 5 bandwidths) twice
+  /// over.
   std::size_t max_sessions = 64;
-  /// Lock shards of the session cache: sessions hash to a shard by key and
-  /// concurrent requests for different shards never contend. 1 reproduces
-  /// the exact global-LRU semantics (tests pin eviction order with it).
-  std::size_t shards = 4;
 };
 
 class Planner {
@@ -209,10 +209,6 @@ class Planner {
   /// pointer, so a temporary would dangle.
   explicit Planner(SystemConfig&&) = delete;
   ~Planner();  // out of line: Session is incomplete here
-  /// Moving a Planner with requests in flight is a data race; move only
-  /// while quiescent (construction/teardown paths).
-  Planner(Planner&&) noexcept;
-  Planner& operator=(Planner&&) noexcept;
 
   /// Plan with the default pipeline assembled from the request. Safe to
   /// call from multiple threads concurrently.
@@ -222,8 +218,24 @@ class Planner {
   [[nodiscard]] PlanResponse plan(const PlanRequest& request,
                                   const PassPipeline& pipeline);
 
-  /// Cached sessions across all shards (exact while quiescent; a snapshot
-  /// under concurrent traffic).
+  /// The Simulator of the request's session, built on a miss exactly as
+  /// plan() builds it (and counted as a hit or a miss alike). The pointer
+  /// shares ownership of the session, so it stays valid after eviction.
+  [[nodiscard]] std::shared_ptr<const Simulator> simulator(
+      const PlanRequest& request);
+
+  /// Runs `fn` on the state slot of the request's session, under the cache
+  /// lock, after making that session the most recent. `fn` may read the
+  /// slot or swap in a new pointer, and must do nothing else. Returns false,
+  /// without calling `fn` or building anything, when the session is not
+  /// cached. The slot starts empty and is dropped with its session, on
+  /// eviction or clear_sessions().
+  bool with_session_state(
+      const PlanRequest& request,
+      const std::function<void(std::shared_ptr<const void>&)>& fn);
+
+  /// Cached sessions (exact while quiescent; a snapshot under concurrent
+  /// traffic).
   [[nodiscard]] std::size_t session_count() const noexcept;
   [[nodiscard]] std::uint64_t cache_hits() const noexcept {
     return hits_.load(std::memory_order_relaxed);
@@ -231,21 +243,25 @@ class Planner {
   [[nodiscard]] std::uint64_t cache_misses() const noexcept {
     return misses_.load(std::memory_order_relaxed);
   }
-  /// Drop all cached sessions (the next request of each key is cold).
-  /// Sessions still in use by in-flight requests stay alive until those
-  /// requests return.
+  /// Drop all cached sessions and their state (the next request of each
+  /// key is cold). Sessions still in use by in-flight requests stay alive
+  /// until those requests return.
   void clear_sessions() noexcept;
 
  private:
+  struct Key;
   struct Session;
-  struct Shard;
 
-  [[nodiscard]] Shard& shard_for(std::uint64_t key_hash) const noexcept;
+  [[nodiscard]] Key key_of(const PlanRequest& request) const;
+  /// The cached session for `key`, made the most recent, or null. Caller
+  /// holds mu_.
+  [[nodiscard]] std::shared_ptr<Session> touch(const Key& key);
   [[nodiscard]] std::shared_ptr<Session> session_for(
       const PlanRequest& request, double& setup_seconds, bool& warm);
 
   PlannerOptions options_;
-  std::vector<std::unique_ptr<Shard>> shards_;
+  mutable std::mutex mu_;
+  std::vector<std::shared_ptr<Session>> lru_;  // most recent first; mu_
   std::atomic<std::uint64_t> hits_{0};
   std::atomic<std::uint64_t> misses_{0};
 };

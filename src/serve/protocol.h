@@ -174,7 +174,7 @@ struct WireTenantsRequest {
 /// out-of-order hazards are the client's (await each response). Failures are
 /// error responses — "unknown_acc" (acc outside the catalog),
 /// "no_prior_plan" (no plan for the key yet, or the server's bounded
-/// scenario registry has evicted it since), "bad_field" (contradictory
+/// session cache has evicted its session since), "bad_field" (contradictory
 /// transitions, e.g. losing an already-lost accelerator), and
 /// "infeasible_repair" (the fault leaves some layer with no feasible
 /// accelerator; the session keeps the pre-fault plan so a later

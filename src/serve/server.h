@@ -18,15 +18,16 @@
 // in-flight requests, flush the ordered output, and return normally.
 //
 // Every wire schema is served: single-model requests hit the shared
-// Planner; "tenants" requests co-map a TenantSet on a CoMapper
-// (tenant/co_mapper.h) kept warm for their bandwidth, with require_slos
+// Planner; "tenants" requests co-map a TenantSet with a CoMapper
+// (tenant/co_mapper.h) on the same Planner's sessions, with require_slos
 // misses answered as slo_violated; "repair" requests repair the last plan
 // served for their scenario key. All three map exceptions alike:
 // CapabilityError answers infeasible_capability, ConfigError (request
 // content the parser cannot see) bad_field, anything else plan_failed.
-// Co-map sessions, prior plans and repair chains live in one
-// least-recently-used scenario registry, bounded like the Planner's session
-// cache, so the server's memory does not grow with the keys clients send.
+// The Planner's one least-recently-used session cache is the server's only
+// cache: plan, co-map solo and union sessions live there, and a plan's
+// session also carries its latest plan and repair chain, so the server's
+// memory does not grow with the keys clients send.
 //
 // serve_tcp accepts loopback TCP connections and serves each one at once on
 // its own thread, which runs the inline loop (threads = 1) over its socket:
@@ -54,9 +55,10 @@ struct ServeOptions {
   /// connections, each of which plans inline on its own thread.
   std::size_t threads = 1;
   /// Session-cache configuration of the shared Planner. Its max_sessions
-  /// also bounds the scenario registry (DESIGN.md §8): the co-map sessions,
-  /// prior plans and repair chains kept between requests. A repair whose
-  /// scenario was evicted answers no_prior_plan.
+  /// bounds everything kept between requests (DESIGN.md §8): plan and
+  /// co-map sessions, and the latest plan and repair chain riding on each
+  /// plan's session. A repair whose session was evicted answers
+  /// no_prior_plan.
   PlannerOptions planner;
   /// Requests longer than this are answered with parse_error (guards the
   /// line buffer against unbounded input).

@@ -61,29 +61,41 @@ const TenantOutcome& CoMapResult::outcome(std::string_view name) const {
       strformat("no tenant named '%s'", std::string(name).c_str()));
 }
 
-CoMapper::CoMapper(const SystemConfig& sys) : sys_(&sys), planner_(sys) {}
+CoMapper::CoMapper(Planner& planner, double bw_acc)
+    : planner_(planner), bw_acc_(bw_acc) {}
+
+CoMapper::CoMapper(const SystemConfig& sys)
+    : owned_(std::make_unique<Planner>(sys)),
+      planner_(*owned_),
+      bw_acc_(sys.host().bw_acc) {}
 
 CoMapResult CoMapper::co_map(const TenantSet& set,
                              const CoMapOptions& options) {
   const std::size_t n = set.size();
 
-  // Round 0a: solo plans on the idle system. Warm across co_map calls (the
-  // shared-system Planner keys sessions on the stamped model fingerprint).
+  // Round 0a: solo plans on the idle system, warm across co_map calls. A
+  // zoo tenant without a mask plans on its model's zoo session (stamping no
+  // caps changes nothing), the session plan requests use; other tenants
+  // key on the stamped model's fingerprint.
   std::vector<PlanResponse> solo;
   solo.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
-    PlanRequest req =
-        PlanRequest::for_graph(set.model(i), sys_->host().bw_acc);
+    const TenantRequest& t = set.request(i);
+    PlanRequest req = t.model && t.required_caps == 0
+                          ? PlanRequest::zoo(*t.model, bw_acc_)
+                          : PlanRequest::for_graph(set.model(i), bw_acc_);
     req.options = options.plan;
     solo.push_back(planner_.plan(req));
   }
 
-  // The union model and the one simulator every round shares. A
-  // capability-infeasible tenant throws CapabilityError here (or already in
-  // its solo plan above), before any round runs.
+  // The union model and the one simulator every round shares, a session of
+  // its own. A capability-infeasible tenant throws CapabilityError here (or
+  // already in its solo plan above), before any round runs.
   std::vector<TenantSpan> spans;
   ModelGraph model = set.build_union(spans);
-  const Simulator sim(model, *sys_);
+  const std::shared_ptr<const Simulator> shared_sim =
+      planner_.simulator(PlanRequest::for_graph(model, bw_acc_));
+  const Simulator& sim = *shared_sim;
 
   // Round 0b: the sequential-deployment baseline — every tenant keeps its
   // solo mapping, copied span-by-span in solo sequence order (which keeps
@@ -92,7 +104,7 @@ CoMapResult CoMapper::co_map(const TenantSet& set,
   // capacity is split once instead of double-booked per tenant.
   Mapping seq_mapping(model);
   LocalityPlan seq_plan(model);
-  seq_plan.ensure_acc_count(sys_->accelerator_count());
+  seq_plan.ensure_acc_count(sim.sys().accelerator_count());
   {
     std::vector<LayerId> order;
     for (std::size_t i = 0; i < n; ++i) {

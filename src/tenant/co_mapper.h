@@ -7,8 +7,8 @@
 // the *union model* (tenant/tenant.h) as a single H2H problem instead, in
 // warm per-tenant rounds:
 //
-//   1. Solo plans: each tenant planned alone on the idle system (a warm
-//      shared-system Planner), giving the slack baseline and the
+//   1. Solo plans: each tenant planned alone on the idle system (warm
+//      Planner sessions), giving the slack baseline and the
 //      sequential-deployment comparison point.
 //   2. Round 1: tenants in deadline-slack order (most urgent first; the
 //      mapf-het normalized-slack rule, priority breaking ties) each replan
@@ -31,11 +31,19 @@
 // CostTable admission (accel/capability.h) gates every candidate list, and
 // an unplaceable tenant surfaces as CapabilityError before any round runs.
 //
+// Every plan runs on a Planner's sessions: the solo plans, and the union
+// model's Simulator, which is cached like any other session. A zoo tenant
+// without a capability mask plans on the very session a plan request for
+// its model at that bandwidth uses, so a server that plans and co-maps the
+// same models keeps one session per (model, bandwidth), not two.
+//
 // Thread safety: co_map builds all mutable state per call; concurrent
-// co_map calls on one CoMapper are safe (the shared Planner is itself
-// thread-safe). The borrowed SystemConfig must stay unmutated while calls
-// are in flight, matching the Planner's shared-system rule.
+// co_map calls on one CoMapper are safe (the Planner is itself
+// thread-safe). A borrowed SystemConfig must stay unmutated while calls are
+// in flight, matching the Planner's shared-system rule.
 #pragma once
+
+#include <memory>
 
 #include "core/planner.h"
 #include "tenant/tenant.h"
@@ -108,9 +116,13 @@ struct CoMapResult {
 
 class CoMapper {
  public:
-  /// Borrows `sys` for every plan (it must outlive the CoMapper).
+  /// Plans on `planner`'s sessions at BW_acc `bw_acc` (bytes/s). The
+  /// Planner must outlive the CoMapper.
+  CoMapper(Planner& planner, double bw_acc);
+  /// Plans on a shared-system Planner of its own over `sys` (which must
+  /// outlive the CoMapper).
   explicit CoMapper(const SystemConfig& sys);
-  /// Rvalue systems would dangle (the CoMapper stores a pointer).
+  /// Rvalue systems would dangle (the Planner stores a pointer).
   explicit CoMapper(SystemConfig&&) = delete;
 
   /// Co-map the tenant set. Throws CapabilityError when some tenant's
@@ -119,12 +131,10 @@ class CoMapper {
   [[nodiscard]] CoMapResult co_map(const TenantSet& tenants,
                                    const CoMapOptions& options = {});
 
-  /// The internal shared-system Planner (solo-plan cache introspection).
-  [[nodiscard]] const Planner& planner() const noexcept { return planner_; }
-
  private:
-  const SystemConfig* sys_;
-  Planner planner_;
+  std::unique_ptr<Planner> owned_;  // CoMapper(sys) only
+  Planner& planner_;
+  double bw_acc_;
 };
 
 }  // namespace h2h

@@ -163,9 +163,6 @@ TEST(PlannerCache, SharedSystemFollowsLazyRebuildWhenBandwidthMoves) {
 TEST(PlannerCache, EvictsLeastRecentlyUsedSession) {
   PlannerOptions options;
   options.max_sessions = 2;
-  // One lock shard reproduces the exact global-LRU order this test pins;
-  // the default sharded cache enforces capacity per shard instead.
-  options.shards = 1;
   Planner planner(std::move(options));
   const ModelGraph model = testing::make_mini_mmmt_model();
 
@@ -180,6 +177,91 @@ TEST(PlannerCache, EvictsLeastRecentlyUsedSession) {
   EXPECT_TRUE(planner.plan(PlanRequest::for_graph(model, 2e9)).warm);
   EXPECT_FALSE(planner.plan(PlanRequest::for_graph(model, 1e9)).warm);
   EXPECT_EQ(planner.cache_misses(), 4u);
+}
+
+TEST(PlannerCache, SessionStateLivesAndDiesWithItsSession) {
+  PlannerOptions options;
+  options.max_sessions = 2;
+  Planner planner(std::move(options));
+  const ModelGraph model = testing::make_mini_mmmt_model();
+  const PlanRequest a = PlanRequest::for_graph(model, 1e9);
+  const PlanRequest b = PlanRequest::for_graph(model, 2e9);
+  const PlanRequest c = PlanRequest::for_graph(model, 3e9);
+  std::shared_ptr<const void> seen;
+  const auto read = [&seen](std::shared_ptr<const void>& state) {
+    seen = state;
+  };
+
+  // An uncached key: no call, nothing built.
+  seen = std::make_shared<const int>(0);
+  EXPECT_FALSE(planner.with_session_state(a, read));
+  EXPECT_NE(seen, nullptr);
+  EXPECT_EQ(planner.session_count(), 0u);
+  EXPECT_EQ(planner.cache_misses(), 0u);
+
+  // The slot starts empty and keeps what is stored in it.
+  (void)planner.plan(a);
+  auto stored = std::make_shared<const int>(7);
+  const std::weak_ptr<const int> weak = stored;
+  EXPECT_TRUE(planner.with_session_state(
+      a, [&](std::shared_ptr<const void>& state) {
+        EXPECT_EQ(state, nullptr);
+        state = std::move(stored);
+      }));
+  (void)planner.plan(b);
+  EXPECT_TRUE(planner.with_session_state(a, read));
+  EXPECT_EQ(seen.get(), weak.lock().get());
+
+  // That lookup made a the most recent: c evicts b, not a.
+  seen.reset();
+  (void)planner.plan(c);
+  EXPECT_FALSE(planner.with_session_state(b, read));
+  EXPECT_TRUE(planner.with_session_state(a, read));
+  EXPECT_EQ(seen.get(), weak.lock().get());
+  seen.reset();
+  EXPECT_FALSE(weak.expired());
+
+  // Evicting a drops its state; its next plan starts with an empty slot.
+  (void)planner.plan(b);
+  (void)planner.plan(c);
+  EXPECT_TRUE(weak.expired());
+  EXPECT_FALSE(planner.plan(a).warm);
+  EXPECT_TRUE(planner.with_session_state(a, read));
+  EXPECT_EQ(seen, nullptr);
+
+  // So does clear_sessions().
+  auto again = std::make_shared<const int>(8);
+  const std::weak_ptr<const int> weak_again = again;
+  EXPECT_TRUE(planner.with_session_state(
+      a, [&](std::shared_ptr<const void>& state) {
+        state = std::move(again);
+      }));
+  planner.clear_sessions();
+  EXPECT_TRUE(weak_again.expired());
+  EXPECT_FALSE(planner.with_session_state(a, read));
+}
+
+TEST(PlannerCache, SimulatorIsTheSessionsAndOutlivesEviction) {
+  PlannerOptions options;
+  options.max_sessions = 1;
+  Planner planner(std::move(options));
+  const ModelGraph model = testing::make_mini_mmmt_model();
+  const PlanRequest a = PlanRequest::for_graph(model, 1e9);
+
+  // A miss builds the session plan() then finds warm.
+  const std::shared_ptr<const Simulator> sim = planner.simulator(a);
+  EXPECT_EQ(planner.cache_misses(), 1u);
+  EXPECT_TRUE(planner.plan(a).warm);
+  EXPECT_EQ(planner.simulator(a), sim);
+  EXPECT_EQ(planner.cache_hits(), 2u);
+  EXPECT_EQ(sim->sys().host().bw_acc, 1e9);
+
+  // Evicted, the Simulator still plans, bit-identically.
+  const PlanResponse before = run_passes(*sim, make_default_pipeline({}));
+  (void)planner.plan(PlanRequest::for_graph(model, 2e9));
+  EXPECT_EQ(planner.session_count(), 1u);
+  const PlanResponse after = run_passes(*sim, make_default_pipeline({}));
+  expect_same_response(before, after, model);
 }
 
 TEST(PlannerRequest, ExactlyOneModelSourceRequired) {

@@ -3,8 +3,9 @@
 // under contention must not corrupt the cache, and a failed cold build must
 // leave no half-constructed session behind.
 //
-// These tests are the TSan CI job's main workload (they exercise the shard
-// locks, the reference-counted checkout, and racing duplicate inserts).
+// These tests are the TSan CI job's main workload (they exercise the cache
+// lock, the reference-counted checkout, racing duplicate inserts, and the
+// session state slot).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -132,7 +133,6 @@ TEST(PlannerConcurrency, EvictionStressKeepsResponsesIdentical) {
 
   PlannerOptions options;
   options.max_sessions = 2;  // working set is 4 -> constant eviction
-  options.shards = 1;
   Planner planner(options);
 
   constexpr std::size_t kThreads = 4;
@@ -157,6 +157,56 @@ TEST(PlannerConcurrency, EvictionStressKeepsResponsesIdentical) {
   }
   for (std::thread& t : threads) t.join();
   for (const std::string& f : failures) ADD_FAILURE() << f;
+  EXPECT_LE(planner.session_count(), 2u);
+}
+
+// State slots under eviction: threads swap each key's state while others
+// plan and evict at capacity 2. A slot only ever holds its own key's state,
+// and the cache stays within capacity.
+TEST(PlannerConcurrency, SessionStateSwapsUnderEviction) {
+  const std::vector<BandwidthSetting> bws = {
+      BandwidthSetting::LowMinus, BandwidthSetting::Low,
+      BandwidthSetting::MidMinus, BandwidthSetting::Mid};
+  PlannerOptions options;
+  options.max_sessions = 2;
+  Planner planner(options);
+
+  std::atomic<int> foreign{0};
+  std::atomic<int> wrong_system{0};
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < 2; ++t) {
+    threads.emplace_back([&, t] {
+      for (std::size_t i = 0; i < 6; ++i) {
+        (void)planner.plan(
+            cell_request(ZooModel::MoCap, bws[(i + t) % bws.size()]));
+      }
+    });
+    threads.emplace_back([&, t] {
+      for (std::size_t i = 0; i < 200; ++i) {
+        const std::size_t cell = (i + t) % bws.size();
+        const PlanRequest request = cell_request(ZooModel::MoCap, bws[cell]);
+        if (i % 50 == 0 &&
+            planner.simulator(request)->sys().host().bw_acc !=
+                bandwidth_value(bws[cell])) {
+          ++wrong_system;
+        }
+        std::shared_ptr<const void> mine =
+            std::make_shared<const std::size_t>(cell);
+        (void)planner.with_session_state(
+            request, [&](std::shared_ptr<const void>& state) {
+              if (state != nullptr &&
+                  *std::static_pointer_cast<const std::size_t>(state) !=
+                      cell) {
+                ++foreign;
+              }
+              state.swap(mine);
+            });
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(foreign.load(), 0);
+  EXPECT_EQ(wrong_system.load(), 0);
   EXPECT_LE(planner.session_count(), 2u);
 }
 

@@ -1,7 +1,8 @@
 // End-to-end serve loop (serve/server.h): jsonl in, jsonl out, errors
 // answered in-band, multi-threaded output identical to single-threaded,
-// tenants requests sharing the loop, the bounded scenario registry's
-// eviction, and graceful shutdown on signals.
+// tenants requests sharing the loop, eviction from the one bounded session
+// cache (the Planner's, which also carries each plan's scenario state), and
+// graceful shutdown on signals.
 // The ServeTcp family covers serve_tcp's thread per connection: a silent
 // or non-reading client stalls nobody, the connection cap, the idle
 // timeout, and the signal drain.
@@ -211,9 +212,10 @@ TEST(ServePipeline, TenantsRequestsShareTheLoopDeterministically) {
 }
 
 TEST(ServePipeline, RegistryEvictsTheLeastRecentScenario) {
-  // Capacity 2: plans for A, B and C leave B and C resident, so A's repair
-  // finds nothing to repair, as on a fresh server, while C's chain still
-  // works; a fresh plan for A brings its scenario back.
+  // Capacity 2: plans for A, B and C leave the sessions of B and C
+  // resident, so A's repair finds no scenario state to repair, as on a
+  // fresh server, while C's chain still works; a fresh plan for A brings
+  // its session and scenario back.
   serve::ServeOptions options;
   options.planner.max_sessions = 2;
   std::string input;
@@ -236,9 +238,11 @@ TEST(ServePipeline, RegistryEvictsTheLeastRecentScenario) {
 
 TEST(ServePipeline, RegistryEvictionIsInvisibleWhileKeysStayResident) {
   // Repair chains run back to back, with plans and tenants requests at
-  // three bandwidths between them: at capacity 1 every chain stays
-  // resident while it runs, co-map sessions rebuild after each eviction,
-  // and the bytes match the default capacity, which evicts nothing here.
+  // three bandwidths between them: at capacity 1 every chain's session
+  // stays resident while the chain runs (a repair touches no other
+  // session), the co-map solo and union sessions rebuild after each
+  // eviction, and the bytes match the default capacity, which evicts
+  // nothing here.
   std::string input;
   const double bws[] = {0.5, 0.25, 0.125};
   for (int round = 0; round < 2; ++round) {
@@ -260,9 +264,9 @@ TEST(ServePipeline, RegistryEvictionIsInvisibleWhileKeysStayResident) {
 }
 
 TEST(ServePipeline, EvictingACoMapSessionInUseIsSafe) {
-  // Four workers, room for one scenario, tenants bandwidths alternating:
-  // co-map sessions are evicted while other workers still co-map on them.
-  // Every line is answered, with the bytes of the serial run.
+  // Four workers, room for one session, tenants bandwidths alternating:
+  // solo and union sessions are evicted while other workers still co-map
+  // on them. Every line is answered, with the bytes of the serial run.
   std::string input;
   for (int i = 0; i < 12; ++i) {
     input += tenants_line(i % 2 == 0 ? 0.5 : 0.25, strformat("t%d", i)) + "\n";
@@ -278,6 +282,28 @@ TEST(ServePipeline, EvictingACoMapSessionInUseIsSafe) {
   EXPECT_EQ(stats.ok, 12u);
   EXPECT_TRUE(all_ok(got));
   EXPECT_EQ(got, want);
+}
+
+TEST(ServePipeline, CoMapSessionsShareTheScenarioBound) {
+  // One bound for everything: at capacity 2, a one-tenant co-map's solo
+  // session (cnn-lstm @ 0.25) and union session evict the mocap @ 0.5 plan
+  // session, and its scenario state with it.
+  serve::ServeOptions options;
+  options.planner.max_sessions = 2;
+  std::string input;
+  input += request_line("mocap", 0.5, "plan") + "\n";
+  input += strformat(
+      R"({"schema_version":1,"id":"co","tenants":[)"
+      R"({"name":"a","model":"cnn-lstm"}],"bw_gbps":0.25,)"
+      R"("options":{"time_budget_s":%g},"max_rounds":0})",
+      testing::search_time_budget());
+  input += "\n";
+  input += repair_line("mocap", 0.5, "repair", "acc_lost", 0) + "\n";
+  const std::vector<std::string> lines = run_serve(input, options);
+  ASSERT_EQ(lines.size(), 3u);
+  EXPECT_TRUE(all_ok({lines[0], lines[1]}));
+  EXPECT_NE(lines[2].find(R"("id":"repair")"), std::string::npos);
+  EXPECT_NE(lines[2].find("no_prior_plan"), std::string::npos);
 }
 
 #if H2H_TEST_HAS_SIGNALS

@@ -158,23 +158,93 @@ TEST(CoMapperTest, SingleTenantIsBitIdenticalToPlanner) {
        {BandwidthSetting::LowMinus, BandwidthSetting::Mid}) {
     const SystemConfig sys = SystemConfig::standard(bw);
     Planner planner(sys);
-    CoMapper co(sys);
+    CoMapper owning(sys);
+    Planner sessions;  // owned systems at each request's BW_acc
+    CoMapper borrowing(sessions, bandwidth_value(bw));
     for (const ZooInfo& info : zoo_catalog()) {
       const PlanResponse p =
           planner.plan(PlanRequest::zoo(info.id, bandwidth_value(bw)));
-      const CoMapResult r = co.co_map(TenantSet({tenant("solo", info.id)}));
-      ASSERT_EQ(r.model.layer_count(),
-                p.mapping.size());
-      for (const LayerId id : r.model.all_layers()) {
-        EXPECT_EQ(r.mapping.acc_of(id).value, p.mapping.acc_of(id).value);
-        EXPECT_EQ(r.mapping.seq_of(id), p.mapping.seq_of(id));
-        EXPECT_EQ(r.plan.pinned(id), p.plan.pinned(id));
+      for (CoMapper* co : {&owning, &borrowing}) {
+        const CoMapResult r =
+            co->co_map(TenantSet({tenant("solo", info.id)}));
+        ASSERT_EQ(r.model.layer_count(), p.mapping.size());
+        for (const LayerId id : r.model.all_layers()) {
+          EXPECT_EQ(r.mapping.acc_of(id).value, p.mapping.acc_of(id).value);
+          EXPECT_EQ(r.mapping.seq_of(id), p.mapping.seq_of(id));
+          EXPECT_EQ(r.plan.pinned(id), p.plan.pinned(id));
+        }
+        EXPECT_EQ(r.plan.fused_edge_count(), p.plan.fused_edge_count());
+        EXPECT_EQ(r.schedule.latency, p.final_result().latency);
+        EXPECT_EQ(r.schedule.energy.total(),
+                  p.final_result().energy.total());
       }
-      EXPECT_EQ(r.plan.fused_edge_count(), p.plan.fused_edge_count());
-      EXPECT_EQ(r.schedule.latency, p.final_result().latency);
-      EXPECT_EQ(r.schedule.energy.total(), p.final_result().energy.total());
     }
   }
+}
+
+/// The pinned three-tenant contention fixture (CoMappingMeetsSlos below).
+[[nodiscard]] TenantSet contention_fixture() {
+  return TenantSet({tenant("cam", ZooModel::CasiaSurf, 0.012, 3),
+                    tenant("act", ZooModel::CnnLstm, 0.010, 2),
+                    tenant("emo", ZooModel::MoCap, 0.010, 1)});
+}
+
+void expect_same_comap(const CoMapResult& a, const CoMapResult& b) {
+  ASSERT_EQ(a.model.layer_count(), b.model.layer_count());
+  for (const LayerId id : a.model.all_layers()) {
+    EXPECT_EQ(a.mapping.acc_of(id).value, b.mapping.acc_of(id).value);
+    EXPECT_EQ(a.mapping.seq_of(id), b.mapping.seq_of(id));
+    EXPECT_EQ(a.plan.pinned(id), b.plan.pinned(id));
+  }
+  EXPECT_EQ(a.plan.fused_edge_count(), b.plan.fused_edge_count());
+  // Bit-identity: exact double comparison is deliberate.
+  EXPECT_EQ(a.schedule.latency, b.schedule.latency);
+  EXPECT_EQ(a.schedule.energy.total(), b.schedule.energy.total());
+  EXPECT_EQ(a.seq_makespan_s, b.seq_makespan_s);
+  EXPECT_EQ(a.violation_s, b.violation_s);
+  EXPECT_EQ(a.rounds, b.rounds);
+  EXPECT_EQ(a.steal_ran, b.steal_ran);
+  ASSERT_EQ(a.tenants.size(), b.tenants.size());
+  for (std::size_t i = 0; i < a.tenants.size(); ++i) {
+    EXPECT_EQ(a.tenants[i].solo_latency_s, b.tenants[i].solo_latency_s);
+    EXPECT_EQ(a.tenants[i].seq_latency_s, b.tenants[i].seq_latency_s);
+    EXPECT_EQ(a.tenants[i].latency_s, b.tenants[i].latency_s);
+  }
+}
+
+TEST(CoMapperTest, BorrowedPlannerMatchesOwnedAndReusesZooSessions) {
+  for (const BandwidthSetting bw :
+       {BandwidthSetting::LowMinus, BandwidthSetting::Mid}) {
+    const double bw_acc = bandwidth_value(bw);
+    const SystemConfig sys = SystemConfig::standard(bw);
+    const CoMapResult want = CoMapper(sys).co_map(contention_fixture());
+
+    // Plan requests for the three tenant models build the sessions the
+    // solo plans use, so a co-map adds one session: the union's.
+    Planner planner;
+    for (const ZooModel m :
+         {ZooModel::CasiaSurf, ZooModel::CnnLstm, ZooModel::MoCap}) {
+      (void)planner.plan(PlanRequest::zoo(m, bw_acc));
+    }
+    const std::uint64_t misses = planner.cache_misses();
+    CoMapper co(planner, bw_acc);
+    expect_same_comap(co.co_map(contention_fixture()), want);
+    EXPECT_EQ(planner.cache_misses(), misses + 1);
+    expect_same_comap(co.co_map(contention_fixture()), want);
+    EXPECT_EQ(planner.cache_misses(), misses + 1);
+    EXPECT_EQ(planner.session_count(), 4u);
+  }
+
+  // A capability mask changes the tenant's model, so its solo plan keys on
+  // the stamped graph, not on the model's zoo session.
+  Planner planner;
+  const double bw_acc = bandwidth_value(BandwidthSetting::Mid);
+  (void)planner.plan(PlanRequest::zoo(ZooModel::MoCap, bw_acc));
+  const std::uint64_t misses = planner.cache_misses();
+  CoMapper co(planner, bw_acc);
+  (void)co.co_map(TenantSet({tenant("fast", ZooModel::MoCap, 1.0, 1,
+                                    kCapFastMem)}));
+  EXPECT_EQ(planner.cache_misses(), misses + 2);  // solo and union
 }
 
 /// The tentpole fixture: three tenants contending at Low- bandwidth.
@@ -185,10 +255,7 @@ TEST(CoMapperTest, SingleTenantIsBitIdenticalToPlanner) {
 TEST(CoMapperTest, CoMappingMeetsSlosSequentialMisses) {
   const SystemConfig sys = SystemConfig::standard(BandwidthSetting::LowMinus);
   CoMapper co(sys);
-  const TenantSet set({tenant("cam", ZooModel::CasiaSurf, 0.012, 3),
-                       tenant("act", ZooModel::CnnLstm, 0.010, 2),
-                       tenant("emo", ZooModel::MoCap, 0.010, 1)});
-  const CoMapResult r = co.co_map(set);
+  const CoMapResult r = co.co_map(contention_fixture());
 
   EXPECT_GT(r.seq_violation_s, 0.0);  // sequential planning misses SLOs
   EXPECT_DOUBLE_EQ(r.violation_s, 0.0);
